@@ -184,17 +184,27 @@ def perfect_square_root(q: Rat | int) -> Rat | None:
     return Fraction(rn, rd)
 
 
-def perfect_cube_root(n: int) -> int | None:
-    """Exact integer cube root of n (any sign), or None."""
+def icbrt(n: int) -> int:
+    """Floor of the real cube root of n >= 0, like ``math.isqrt``."""
+    if n < 0:
+        raise ValueError("icbrt() argument must be nonnegative")
     if n == 0:
         return 0
-    s = 1 if n > 0 else -1
-    a = abs(n)
-    r = round(a ** (1.0 / 3.0))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c**3 == a:
-            return s * c
-    return None
+    # Start above the root; integer Newton steps then fall monotonically to the floor.
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
+def perfect_cube_root(n: int) -> int | None:
+    """Exact integer cube root of n (any sign), or None."""
+    r = icbrt(abs(n))
+    if r**3 != abs(n):
+        return None
+    return r if n >= 0 else -r
 
 
 def cubefree_and_noncube(m: int, effort_bound: int = DEFAULT_EFFORT) -> tuple[bool, bool]:

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .arith import DEFAULT_EFFORT, perfect_square_root
 from .errors import InvalidPoint, NotBinomial, ZeroElement
-from .field import DEFAULT_DIGITS, CubicElement, CubicField
+from .field import CubicElement, CubicField
 from .mordell import INFINITY, CurvePoint, MordellCurve
 
 
@@ -168,7 +168,6 @@ def is_square_binomial(
     a,
     b,
     effort_bound: int = DEFAULT_EFFORT,
-    digits: int = DEFAULT_DIGITS,
 ) -> CubicElement | None:
     """Decide whether a - b*w is a square in the field.
 

@@ -7,28 +7,31 @@ parsers mistake for flags. Flags may appear anywhere:
 
     --json             one self-describing JSON record per line
     --effort N         factoring / halving budget
-    --precision N      working digits for embeddings
     --table PATH       alternate table1 dataset
     --e-bound N        search: denominator bound
     --a-bound N        search: numerator bound
+
+Each command is one row of a table: a signature saying what its
+positional arguments are, and a handler that computes the answer as a
+JSON record and a line of text. One parser and one printer serve all.
 
 Exit codes: 0 success, 1 domain error (error name on stderr), 2 usage.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
-from fractions import Fraction
 
 from .arith import DEFAULT_EFFORT, parse_rat
 from .binsq import elem_from_point, is_square_binomial, point_from_elem, star, star_parts
 from .classfield import kappa_element, sqrt_ext_minpoly, table1_verify, unramified_conditions
 from .errors import DomainError
-from .field import DEFAULT_DIGITS, CubicField, CubicElement
+from .field import CubicElement, CubicField
 from .mordell import INFINITY, CurvePoint, MordellCurve
 
-USAGE = """usage: purecubic [--json] [--effort N] [--precision N] [--table PATH] COMMAND ARGS
+USAGE = """usage: purecubic [--json] [--effort N] [--table PATH] COMMAND ARGS
 
 commands (points are 'x y' pairs, or 'inf'; rationals are 'p' or 'p/q'):
   curve-add k P Q            sum of two points on y^2 = x^3 + k
@@ -53,15 +56,14 @@ class UsageError(Exception):
 
 
 def _parse_argv(argv: list[str]):
-    opts = {"json": False, "effort": DEFAULT_EFFORT, "precision": DEFAULT_DIGITS, "table": None,
-            "e_bound": None, "a_bound": None}
+    opts = {"json": False, "effort": DEFAULT_EFFORT, "table": None, "e_bound": None, "a_bound": None}
     positional: list[str] = []
     i = 0
     while i < len(argv):
         tok = argv[i]
         if tok == "--json":
             opts["json"] = True
-        elif tok in ("--effort", "--precision", "--e-bound", "--a-bound", "--table"):
+        elif tok in ("--effort", "--e-bound", "--a-bound", "--table"):
             if i + 1 >= len(argv):
                 raise UsageError(f"{tok} needs a value")
             val = argv[i + 1]
@@ -84,20 +86,39 @@ def _parse_argv(argv: list[str]):
     return positional[0], positional[1:], opts
 
 
-def _take_point(args: list[str]) -> tuple[CurvePoint, list[str]]:
-    if not args:
-        raise UsageError("missing point")
-    if args[0] == "inf":
-        return INFINITY, args[1:]
-    if len(args) < 2:
-        raise UsageError("a point needs two coordinates (or 'inf')")
-    return CurvePoint(parse_rat(args[0]), parse_rat(args[1])), args[2:]
+_KIND_NAMES = {"k": "curve k", "m": "field m", "i": "integer", "q": "rational",
+               "P": "point (x y, or 'inf')", "e": "element r s t"}
 
 
-def _rat(args: list[str], n: int) -> list[Fraction]:
-    if len(args) < n:
-        raise UsageError("missing arguments")
-    return [parse_rat(a) for a in args[:n]]
+def _parse_args(signature: str, args: list[str]) -> list:
+    """The values a signature names, parsed in order from args.
+
+    One letter per value: k the curve y^2 = x^3 + k, m the field
+    Q(cbrt(m)), i an integer 'p', q a rational 'p' or 'p/q', P a point
+    'x y' or 'inf', e an element 'r s t' of the field given first.
+    """
+    values: list = []
+    for kind in signature:
+        n = {"P": 1 if args[:1] == ["inf"] else 2, "e": 3}.get(kind, 1)
+        if len(args) < n:
+            raise UsageError(f"missing {_KIND_NAMES[kind]}")
+        toks, args = args[:n], args[n:]
+        if kind == "k":
+            values.append(MordellCurve(parse_rat(toks[0])))
+        elif kind in "mi":
+            if "/" in toks[0]:
+                raise ValueError(f"not an integer: {toks[0]!r}")
+            value = int(parse_rat(toks[0]))
+            values.append(CubicField(value) if kind == "m" else value)
+        elif kind == "q":
+            values.append(parse_rat(toks[0]))
+        elif kind == "P":
+            values.append(INFINITY if toks == ["inf"] else CurvePoint(*map(parse_rat, toks)))
+        else:
+            values.append(values[0].element(*map(parse_rat, toks)))
+    if args:
+        raise UsageError("too many arguments")
+    return values
 
 
 def _point_rec(P: CurvePoint):
@@ -110,196 +131,72 @@ def _elem_rec(e: CubicElement):
     return {"r": str(e.r), "s": str(e.s), "t": str(e.t), "m": str(e.field.m)}
 
 
-def _point_str(P: CurvePoint) -> str:
-    return str(P)
+def _curve_result(curve: MordellCurve, R: CurvePoint, **extra):
+    return {"k": str(curve.k), **extra, "result": _point_rec(R)}, str(R)
 
 
-class _Out:
-    def __init__(self, as_json: bool):
-        self.as_json = as_json
-
-    def emit(self, record: dict, text: str):
-        if self.as_json:
-            print(json.dumps(record))
-        else:
-            print(text)
+def _halve(opts, curve, P):
+    preimages = sorted(curve.halve(P, opts["effort"]),
+                       key=lambda Q: (Q.is_infinity, Q.x or 0, Q.y or 0))
+    rec = {"k": str(curve.k), "preimages": [_point_rec(Q) for Q in preimages]}
+    return rec, ", ".join(str(Q) for Q in preimages) or "(none)"
 
 
-def _cmd_curve_add(args, opts, out):
-    if not args:
-        raise UsageError("curve-add k P Q")
-    curve = MordellCurve(parse_rat(args[0]))
-    P, rest = _take_point(args[1:])
-    Q, rest = _take_point(rest)
-    if rest:
-        raise UsageError("too many arguments")
-    R = curve.add(P, Q)
-    out.emit({"op": "curve-add", "k": str(curve.k), "result": _point_rec(R)}, _point_str(R))
-
-
-def _cmd_curve_double(args, opts, out):
-    if not args:
-        raise UsageError("curve-double k P")
-    curve = MordellCurve(parse_rat(args[0]))
-    P, rest = _take_point(args[1:])
-    if rest:
-        raise UsageError("too many arguments")
-    R = curve.double(P)
-    out.emit({"op": "curve-double", "k": str(curve.k), "result": _point_rec(R)}, _point_str(R))
-
-
-def _cmd_curve_mul(args, opts, out):
-    if len(args) < 2:
-        raise UsageError("curve-mul k n P")
-    curve = MordellCurve(parse_rat(args[0]))
-    n = int(args[1])
-    P, rest = _take_point(args[2:])
-    if rest:
-        raise UsageError("too many arguments")
-    R = curve.scalar_mul(n, P)
-    out.emit(
-        {"op": "curve-mul", "k": str(curve.k), "n": str(n), "result": _point_rec(R)},
-        _point_str(R),
-    )
-
-
-def _cmd_halve(args, opts, out):
-    if not args:
-        raise UsageError("halve k P")
-    curve = MordellCurve(parse_rat(args[0]))
-    P, rest = _take_point(args[1:])
-    if rest:
-        raise UsageError("too many arguments")
-    preimages = sorted(
-        curve.halve(P, opts["effort"]),
-        key=lambda Q: (Q.is_infinity, Q.x if not Q.is_infinity else 0, Q.y if not Q.is_infinity else 0),
-    )
-    rec = {"op": "halve", "k": str(curve.k), "preimages": [_point_rec(Q) for Q in preimages]}
-    text = ", ".join(_point_str(Q) for Q in preimages) if preimages else "(none)"
-    out.emit(rec, text)
-
-
-def _cmd_search(args, opts, out):
-    if not args:
-        raise UsageError("search k --e-bound E --a-bound A")
+def _search(opts, curve):
     if opts["e_bound"] is None or opts["a_bound"] is None:
         raise UsageError("search needs --e-bound and --a-bound")
-    curve = MordellCurve(parse_rat(args[0]))
     points = curve.search(opts["e_bound"], opts["a_bound"])
-    rec = {"op": "search", "k": str(curve.k), "points": [_point_rec(P) for P in points]}
-    text = "\n".join(_point_str(P) for P in points) if points else "(none)"
-    out.emit(rec, text)
+    rec = {"k": str(curve.k), "points": [_point_rec(P) for P in points]}
+    return rec, "\n".join(str(P) for P in points) or "(none)"
 
 
-def _cmd_from_point(args, opts, out):
-    if len(args) < 2:
-        raise UsageError("from-point m b x y")
-    m = int(args[0])
-    b = parse_rat(args[1])
-    P, rest = _take_point(args[2:])
-    if rest:
-        raise UsageError("too many arguments")
-    w = elem_from_point(CubicField(m), b, P)
-    rec = {
-        "op": "from-point",
-        "m": str(m),
-        "b": str(w.b),
-        "alpha": _elem_rec(w.alpha),
-        "a": str(w.a),
-    }
-    out.emit(rec, f"alpha = {w.alpha}\nalpha^2 = {w.a} - ({w.b})*w")
+def _from_point(opts, field, b, P):
+    w = elem_from_point(field, b, P)
+    rec = {"m": str(field.m), "b": str(w.b), "alpha": _elem_rec(w.alpha), "a": str(w.a)}
+    return rec, f"alpha = {w.alpha}\nalpha^2 = {w.a} - ({w.b})*w"
 
 
-def _cmd_to_point(args, opts, out):
-    rs = _rat(args, 4)
-    if len(args) > 4:
-        raise UsageError("too many arguments")
-    m = int(args[0])
-    field = CubicField(m)
-    alpha = field.element(rs[1], rs[2], rs[3])
+def _to_point(opts, field, alpha):
     w = point_from_elem(field, alpha)
-    rec = {
-        "op": "to-point",
-        "m": str(m),
-        "b": str(w.b),
-        "a": str(w.a),
-        "point": _point_rec(w.point),
-    }
-    out.emit(rec, f"{w.point} on y^2 = x^3 - ({m})*({w.b})^3   [alpha^2 = {w.a} - ({w.b})*w]")
+    rec = {"m": str(field.m), "b": str(w.b), "a": str(w.a), "point": _point_rec(w.point)}
+    return rec, f"{w.point} on y^2 = x^3 - ({field.m})*({w.b})^3   [alpha^2 = {w.a} - ({w.b})*w]"
 
 
-def _cmd_star(args, opts, out):
-    rs = _rat(args, 7)
-    if len(args) > 7:
-        raise UsageError("too many arguments")
-    field = CubicField(int(args[0]))
-    a1 = field.element(rs[1], rs[2], rs[3])
-    a2 = field.element(rs[4], rs[5], rs[6])
+def _star(opts, field, a1, a2):
     product = star(a1, a2)
-    rec = {"op": "star", "m": args[0], "result": _elem_rec(product)}
-    w1 = point_from_elem(field, a1)
-    w2 = point_from_elem(field, a2)
-    if (
-        not w1.point.is_infinity
-        and not w2.point.is_infinity
-        and w1.b == w2.b == 1
-        and w1.point.x != w2.point.x
-        and w1.point != -w2.point
-    ):
+    rec = {"m": str(field.m), "result": _elem_rec(product)}
+    # star used its closed chord formulas: both squares are a - 1*w, and x = s/t differs
+    if (a1 * a1).s == (a2 * a2).s == -1 and a1.s * a2.t != a2.s * a1.t:
         parts = star_parts(a1, a2)
-        rec["parts"] = {
-            "S_minus": str(parts.s_minus),
-            "S_plus": str(parts.s_plus),
-            "T_minus": str(parts.t_minus),
-            "T_plus": str(parts.t_plus),
-            "Sigma": str(parts.sigma),
-        }
-    out.emit(rec, f"{product}")
+        names = ("S_minus", "S_plus", "T_minus", "T_plus", "Sigma")
+        rec["parts"] = {name: str(getattr(parts, name.lower())) for name in names}
+    return rec, str(product)
 
 
-def _cmd_square_test(args, opts, out):
-    rs = _rat(args, 3)
-    if len(args) > 3:
-        raise UsageError("too many arguments")
-    field = CubicField(int(args[0]))
-    root = is_square_binomial(field, rs[1], rs[2], opts["effort"], opts["precision"])
-    rec = {
-        "op": "square-test",
-        "m": args[0],
-        "a": str(rs[1]),
-        "b": str(rs[2]),
-        "square": root is not None,
-        "root": _elem_rec(root) if root is not None else None,
-    }
+def _square_test(opts, field, a, b):
+    root = is_square_binomial(field, a, b, opts["effort"])
+    rec = {"m": str(field.m), "a": str(a), "b": str(b), "square": root is not None,
+           "root": _elem_rec(root) if root is not None else None}
     if root is None:
-        out.emit(rec, f"{rs[1]} - ({rs[2]})*w is not a square in {field}")
-    else:
-        out.emit(rec, f"{rs[1]} - ({rs[2]})*w = ({root})^2")
+        return rec, f"{a} - ({b})*w is not a square in {field}"
+    return rec, f"{a} - ({b})*w = ({root})^2"
 
 
-def _cmd_norm(args, opts, out):
-    rs = _rat(args, 4)
-    if len(args) > 4:
-        raise UsageError("too many arguments")
-    field = CubicField(int(args[0]))
-    alpha = field.element(rs[1], rs[2], rs[3])
-    rec = {"op": "norm", "m": args[0], "norm": str(alpha.norm()), "trace": str(alpha.trace())}
-    out.emit(rec, f"norm = {alpha.norm()}, trace = {alpha.trace()}")
+def _norm(opts, field, alpha):
+    norm, trace = alpha.norm(), alpha.trace()
+    rec = {"m": str(field.m), "norm": str(norm), "trace": str(trace)}
+    return rec, f"norm = {norm}, trace = {trace}"
 
 
-def _kappa_common(args, opts):
-    if len(args) < 2:
-        raise UsageError("need: m b x y")
-    m = int(args[0])
-    b = int(args[1])
-    P, rest = _take_point(args[2:])
-    if rest:
-        raise UsageError("too many arguments")
-    return unramified_conditions(kappa_element(m, b, P, opts["effort"]))
+# the report's flags, printed as text one group per line
+_KAPPA_FLAGS = (("eligible_mod9", "gcd_ab_ok", "two_divides_e", "a_pos_1mod4"),
+                ("claims_unramified", "already_square"))
 
 
-def _report_rec(r):
-    return {
+def _kappa(opts, m, b, P):
+    r = unramified_conditions(kappa_element(m, b, P, opts["effort"]))
+    flags = {f: getattr(r, f) for group in _KAPPA_FLAGS for f in group}
+    rec = {
         "m": str(r.m),
         "b": str(r.b),
         "point": _point_rec(r.point),
@@ -308,87 +205,86 @@ def _report_rec(r):
         "alpha": _elem_rec(r.alpha),
         "norm": str(r.norm),
         "norm_sqrt": str(r.norm_sqrt) if r.norm_sqrt is not None else None,
-        "eligible_mod9": r.eligible_mod9,
-        "gcd_ab_ok": r.gcd_ab_ok,
-        "two_divides_e": r.two_divides_e,
-        "a_pos_1mod4": r.a_pos_1mod4,
-        "claims_unramified": r.claims_unramified,
-        "already_square": r.already_square,
+        **flags,
         "sextic": [str(c) for c in r.sextic.coeffs],
     }
+    flag_lines = (" ".join(f"{f}={flags[f]}" for f in group) for group in _KAPPA_FLAGS)
+    norm_sqrt = f" = ({r.norm_sqrt})^2" if r.norm_sqrt is not None else ""
+    return rec, "\n".join([f"alpha = {r.alpha}", f"norm = {r.norm}{norm_sqrt}", *flag_lines])
 
 
-def _cmd_kappa(args, opts, out):
-    r = _kappa_common(args, opts)
-    text = (
-        f"alpha = {r.alpha}\n"
-        f"norm = {r.norm}"
-        + (f" = ({r.norm_sqrt})^2" if r.norm_sqrt is not None else "")
-        + f"\neligible_mod9={r.eligible_mod9} gcd_ab_ok={r.gcd_ab_ok}"
-        f" two_divides_e={r.two_divides_e} a_pos_1mod4={r.a_pos_1mod4}"
-        f"\nclaims_unramified={r.claims_unramified} already_square={r.already_square}"
-    )
-    out.emit(_report_rec(r), text)
-
-
-def _cmd_ext_poly(args, opts, out):
-    r = _kappa_common(args, opts)
+def _ext_poly(opts, m, b, P):
+    r = unramified_conditions(kappa_element(m, b, P, opts["effort"]))
     poly = sqrt_ext_minpoly(r)
-    rec = {"op": "ext-poly", "m": str(r.m), "b": str(r.b), "coeffs": [str(c) for c in poly.coeffs],
-           "poly": poly.format()}
-    out.emit(rec, poly.format())
+    return {"m": str(r.m), "b": str(r.b), "coeffs": [str(c) for c in poly.coeffs],
+            "poly": poly.format()}, poly.format()
 
 
-def _cmd_table1(args, opts, out):
-    if args:
-        raise UsageError("table1 takes no positional arguments")
-    result = table1_verify(opts["table"], opts["effort"])
+_ROW_CHECKS = ("passed", "on_curve", "alpha_match", "printed_alpha_match", "norm_square", "flags_match",
+               "sextic_match")
+
+
+def _table1(opts):
+    try:
+        result = table1_verify(opts["table"], opts["effort"])
+    except OSError as exc:
+        raise UsageError(f"cannot read table: {exc}") from None
+    except KeyError as exc:
+        raise UsageError(f"table has no field {exc}") from None
+    out = []
     for row in result.rows:
         rec = {
-            "op": "table1-row",
-            "m": str(row.m),
-            "field_m": str(row.field_m),
-            "k": str(row.k),
-            "x": str(row.x),
-            "passed": row.passed,
-            "on_curve": row.on_curve,
-            "alpha_match": row.alpha_match,
-            "printed_alpha_match": row.printed_alpha_match,
-            "norm_square": row.norm_square,
-            "flags_match": row.flags_match,
-            "sextic_match": row.sextic_match,
+            **{f: str(getattr(row, f)) for f in ("m", "field_m", "k", "x")},
+            **{f: getattr(row, f) for f in _ROW_CHECKS},
             "claims_unramified": row.report.claims_unramified if row.report else None,
             "note": row.note,
         }
         status = "ok" if row.passed else "FAIL"
-        line = (
-            f"m={row.m:>5}  x={row.x}  {status}"
-            f"  claims_unramified={rec['claims_unramified']}"
-        )
+        line = f"m={row.m:>5}  x={row.x}  {status}  claims_unramified={rec['claims_unramified']}"
         if row.sextic_match is not None:
             line += f"  sextic_match={row.sextic_match}  sextic: {row.report.sextic.format()}"
         if row.note:
             line += f"\n        note: {row.note}"
-        out.emit(rec, line)
-    summary = {"op": "table1-summary", "rows": len(result.rows), "all_passed": result.all_passed}
-    out.emit(summary, f"{len(result.rows)} rows, all_passed={result.all_passed}")
+        out.append((rec, line))
+    summary = {"rows": len(result.rows), "all_passed": result.all_passed}
+    out.append((summary, f"{len(result.rows)} rows, all_passed={result.all_passed}"))
+    return out
 
 
+# command -> (signature for _parse_args, handler). A handler gets the
+# options and the parsed values and returns (record, text); table1
+# returns a list of rows followed by a summary.
 _COMMANDS = {
-    "curve-add": _cmd_curve_add,
-    "curve-double": _cmd_curve_double,
-    "curve-mul": _cmd_curve_mul,
-    "halve": _cmd_halve,
-    "search": _cmd_search,
-    "from-point": _cmd_from_point,
-    "to-point": _cmd_to_point,
-    "star": _cmd_star,
-    "square-test": _cmd_square_test,
-    "norm": _cmd_norm,
-    "kappa": _cmd_kappa,
-    "ext-poly": _cmd_ext_poly,
-    "table1": _cmd_table1,
+    "curve-add": ("kPP", lambda opts, curve, P, Q: _curve_result(curve, curve.add(P, Q))),
+    "curve-double": ("kP", lambda opts, curve, P: _curve_result(curve, curve.double(P))),
+    "curve-mul": ("kiP", lambda opts, curve, n, P:
+                  _curve_result(curve, curve.scalar_mul(n, P), n=str(n))),
+    "halve": ("kP", _halve),
+    "search": ("k", _search),
+    "from-point": ("mqP", _from_point),
+    "to-point": ("me", _to_point),
+    "star": ("mee", _star),
+    "square-test": ("mqq", _square_test),
+    "norm": ("me", _norm),
+    "kappa": ("iiP", _kappa),
+    "ext-poly": ("iiP", _ext_poly),
+    "table1": ("", _table1),
 }
+
+
+@contextlib.contextmanager
+def _no_int_str_limit():
+    """Lift the int-to-str digit limit (where the interpreter has one) so
+    exact results of any size print; argv parsing keeps the guard."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -396,16 +292,20 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         command, args, opts = _parse_argv(list(argv))
-        handler = _COMMANDS.get(command)
-        if handler is None:
+        if command not in _COMMANDS:
             raise UsageError(f"unknown command {command!r}")
-        handler(args, opts, _Out(opts["json"]))
+        signature, handler = _COMMANDS[command]
+        values = _parse_args(signature, args)
+        with _no_int_str_limit():
+            results = handler(opts, *values)
+            if isinstance(results, tuple):
+                results, ops = [results], [command]
+            else:
+                ops = [f"{command}-row"] * (len(results) - 1) + [f"{command}-summary"]
+            for op, (record, text) in zip(ops, results):
+                print(json.dumps({"op": op, **record}) if opts["json"] else text)
         return 0
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(USAGE, file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError) as exc:
+    except (UsageError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(USAGE, file=sys.stderr)
         return 2

@@ -164,22 +164,14 @@ class CubicElement:
         )
 
     def sign_of_embedding(self) -> int:
-        """Sign of the real embedding of a nonzero element."""
+        """Sign of the real embedding of a nonzero element.
+
+        The two complex embeddings are conjugate, so the norm is the real
+        embedding times a positive |complex embedding|^2 and has its sign.
+        """
         if self.is_zero():
             raise ValueError("zero element has no sign")
-        if self.is_rational():
-            return 1 if self.r > 0 else -1
-        # 1, w, w^2 are independent over Q, so the embedding is never 0;
-        # raise precision until the numeric value clears its error bound.
-        scale = max(abs(c.numerator) + c.denominator for c in self.components())
-        for dps in (60, 240, 960, 3840):
-            with mp.workdps(dps):
-                w = self.field.real_root()
-                err = mp.mpf(scale) * (1 + abs(w)) ** 2 * mp.mpf(2) ** (16 - mp.mp.prec)
-                v = self.embed()
-                if abs(v) > err:
-                    return 1 if v > 0 else -1
-        raise PrecisionExceeded(f"could not determine sign of {self}")
+        return 1 if self.norm() > 0 else -1
 
     def positive_embedding(self) -> "CubicElement":
         """Whichever of self, -self has positive real embedding."""

@@ -11,6 +11,7 @@ from purecubic.arith import (
     certified_prime,
     cubefree_and_noncube,
     factorize,
+    icbrt,
     parse_rat,
     perfect_cube_root,
     perfect_square_root,
@@ -234,3 +235,15 @@ def test_perfect_cube_root():
     assert perfect_cube_root(-27) == -3
     assert perfect_cube_root(0) == 0
     assert perfect_cube_root(26) is None
+    big = 10**20 + 7
+    assert perfect_cube_root(big**3) == big
+    assert perfect_cube_root(-(big**3)) == -big
+    assert perfect_cube_root(10**400) is None
+    assert perfect_cube_root(-(10**400)) is None
+    assert perfect_cube_root(10**402) == 10**134
+
+
+@given(st.integers(min_value=0, max_value=2**3000))
+@settings(max_examples=200, deadline=None)
+def test_icbrt_is_the_floor_cube_root(n):
+    assert icbrt(n) == sympy.integer_nthroot(n, 3)[0]

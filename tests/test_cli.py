@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from purecubic.cli import main
+from purecubic.mordell import MordellCurve
 
 
 def run(capsys, *argv):
@@ -205,3 +211,67 @@ class TestCliContract:
             assert_no_floats(rec)
             # parse -> re-render is the identity
             assert json.dumps(rec) == line
+
+
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                       reason="this interpreter has no int-to-str digit limit")
+
+
+class TestCliRobustness:
+    @needs_digit_limit
+    def test_big_output_prints(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "curve-mul", "-2", "200", "3", "5")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        curve = MordellCurve(-2)
+        R = curve.scalar_mul(200, curve.point(3, 5))
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out.strip() == str(R)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @needs_digit_limit
+    def test_argv_keeps_int_digit_guard(self, capsys):
+        huge = "1" * (sys.get_int_max_str_digits() + 1)
+        assert run(capsys, "curve-add", "-2", huge, "5", "3", "5")[0] == 2
+
+    def test_table_missing_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, "table1", "--table", str(tmp_path / "missing.json"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+    def test_table_without_rows(self, capsys, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text('{"version": 1}')
+        code, out, err = run(capsys, "table1", "--table", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "rows" in err
+
+    def test_precision_is_an_unknown_flag(self, capsys):
+        code, _, err = run(capsys, "square-test", "20", "-19", "-7", "--precision", "50")
+        assert code == 2
+        assert "unknown flag --precision" in err
+
+
+_COMMAND_NAMES = ["curve-add", "curve-double", "curve-mul", "halve", "search", "from-point",
+                  "to-point", "star", "square-test", "norm", "kappa", "ext-poly", "table1"]
+_small_int = st.integers(-12, 12).map(str)
+_small_rat = st.builds(lambda p, q: f"{p}/{q}", st.integers(-12, 12), st.integers(1, 4))
+_junk = st.sampled_from(["inf", "x", "3.5", "1/0", "", "-", "--", "2_0", "--json=yes", "--effort=x"])
+_flag = st.one_of(
+    st.sampled_from([["--json"], ["--table", "/nonexistent"], ["--table"], ["--precision=8"]]),
+    st.tuples(st.sampled_from(["--effort", "--precision", "--e-bound", "--a-bound"]), _small_int),
+)
+_argument = st.one_of(_small_int, _small_rat, _junk, st.text(max_size=3))
+
+
+@given(st.sampled_from(_COMMAND_NAMES), st.lists(_argument, max_size=7), st.lists(_flag, max_size=3))
+@example("table1", [], [["--table", "/nonexistent"]])
+@settings(max_examples=300, deadline=None)
+def test_any_argv_exits_with_a_code(command, arguments, flags):
+    argv = [command, *arguments, *(tok for flag in flags for tok in flag)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)

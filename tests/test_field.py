@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from purecubic.arith import icbrt
 from purecubic.errors import FieldMismatch, PrecisionExceeded
 from purecubic.field import CubicField, binomial_minpoly, sqrt_in_field
 
@@ -91,6 +92,17 @@ class TestNormTrace:
     @settings(max_examples=50, deadline=None)
     def test_trace_additive(self, a, b):
         assert (a + b).trace() == a.trace() + b.trace()
+
+
+class TestSignOfEmbedding:
+    def test_huge_elements_next_to_zero(self):
+        # x - y*w and (x+1) - y*w bracket 0 in the real embedding, at 4000 digits
+        y = 10**4000 + 12345
+        x = icbrt(2 * y**3)
+        assert x**3 < 2 * y**3 < (x + 1) ** 3
+        for r, want in ((x, -1), (x + 1, 1)):
+            sign = F2.element(r, -y, 0).sign_of_embedding()
+            assert sign == want == (1 if r**3 - 2 * y**3 > 0 else -1)
 
 
 class TestFlip:
