@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-import mpmath as mp
-
 from .errors import EffortExceeded
 
 Rat = Fraction
@@ -161,7 +159,10 @@ def factorize(n: int, effort_bound: int = DEFAULT_EFFORT) -> Factorization:
         f, used = _rho_split(c, budget)
         budget -= used
         if f is None:
-            raise EffortExceeded(f"could not split cofactor {c} within effort bound")
+            raise EffortExceeded(
+                f"rho: {effort_bound - budget} of {effort_bound} iterations, "
+                f"cofactor of {len(str(c))} digits"
+            )
         stack.append(f)
         stack.append(c // f)
 
@@ -320,6 +321,8 @@ def _to_fraction_exact(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
+    import mpmath as mp
+
     v = mp.mpf(x)
     sign, man, exp, _ = v._mpf_
     man = int(man)
@@ -341,6 +344,8 @@ def rational_reconstruct(approx, height_bound: int, tol: Fraction | None = None)
     """
     target = _to_fraction_exact(approx)
     if tol is None:
+        import mpmath as mp
+
         tol = Fraction(1, 1 << max(8, mp.mp.prec // 2))
     else:
         tol = _to_fraction_exact(tol)

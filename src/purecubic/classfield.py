@@ -190,6 +190,10 @@ def table1_verify(path: str | None = None, effort_bound: int = DEFAULT_EFFORT) -
     for coefficient. Failures become report entries, not exceptions.
     """
     data = load_table1(path)
+    if not isinstance(data, dict):
+        raise ValueError("table must be a JSON object with a \"rows\" list")
+    if not isinstance(data["rows"], list) or not all(isinstance(raw, dict) for raw in data["rows"]):
+        raise ValueError("table \"rows\" must be a list of objects")
     rows: list[Table1Row] = []
     for raw in data["rows"]:
         field_m = int(raw["field_m"])

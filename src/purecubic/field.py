@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath as mp
+from typing import TYPE_CHECKING
 
 from .arith import (
     DEFAULT_EFFORT,
@@ -24,6 +23,9 @@ from .arith import (
     rational_reconstruct,
 )
 from .errors import FieldMismatch, PrecisionExceeded
+
+if TYPE_CHECKING:
+    import mpmath as mp
 
 #: Default working precision (decimal digits) for embedding computations.
 DEFAULT_DIGITS = 256
@@ -57,6 +59,8 @@ class CubicField:
 
     def real_root(self) -> mp.mpf:
         """The real embedding of w at the current mpmath precision."""
+        import mpmath as mp
+
         if self.m >= 0:
             return mp.cbrt(mp.mpf(self.m))
         return -mp.cbrt(mp.mpf(-self.m))
@@ -156,6 +160,8 @@ class CubicElement:
 
     def embed(self) -> mp.mpf:
         """Real embedding at the current mpmath precision."""
+        import mpmath as mp
+
         w = self.field.real_root()
         return (
             mp.mpf(self.r.numerator) / self.r.denominator
@@ -226,6 +232,8 @@ def sqrt_in_field(
 
 
 def _sqrt_attempt(beta: CubicElement, dps: int, height_bound: int) -> CubicElement | None:
+    import mpmath as mp
+
     with mp.workdps(dps):
         w = beta.field.real_root()
         zeta = mp.expjpi(mp.mpf(2) / 3)  # primitive cube root of unity

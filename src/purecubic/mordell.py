@@ -28,6 +28,11 @@ from .arith import DEFAULT_EFFORT, IntPoly, perfect_square_root, rational_roots
 from .errors import InvalidPoint
 
 
+# Moduli of the residue sieve in MordellCurve.search, and the squares modulo each.
+_SIEVE_MODULI = (8, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SQUARES_MOD = {q: frozenset(r * r % q for r in range(q)) for q in _SIEVE_MODULI}
+
+
 @dataclass(frozen=True)
 class CurvePoint:
     """A rational point: affine (x, y), or the point at infinity (None, None)."""
@@ -108,8 +113,8 @@ class MordellCurve:
 
     # -- group law ----------------------------------------------------------
 
-    def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-        self._require(P, Q)
+    def _chord(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
+        """P + Q by the chord (the tangent when P = Q); assumes both are on the curve."""
         if P.is_infinity:
             return Q
         if Q.is_infinity:
@@ -125,17 +130,17 @@ class MordellCurve:
         y3 = lam * (x1 - x3) - y1
         return CurvePoint(x3, y3)
 
+    def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
+        self._require(P, Q)
+        return self._chord(P, Q)
+
     def double(self, P: CurvePoint) -> CurvePoint:
-        """2P by the closed duplication formula (identical to add(P, P))."""
+        """2P, by the tangent at P (infinity when y = 0)."""
         self._require(P)
-        if P.is_infinity or P.y == 0:
-            return INFINITY
-        x, y, k = P.x, P.y, self.k
-        x2 = (x**4 - 8 * k * x) / (4 * y * y)
-        y2 = (x**6 + 20 * k * x**3 - 8 * k * k) / (8 * y**3)
-        return CurvePoint(x2, y2)
+        return self._chord(P, P)
 
     def scalar_mul(self, n: int, P: CurvePoint) -> CurvePoint:
+        """nP by double-and-add; P is checked once, the steps are not re-checked."""
         self._require(P)
         if n < 0:
             n, P = -n, -P
@@ -143,10 +148,10 @@ class MordellCurve:
         Q = P
         while n:
             if n & 1:
-                R = self.add(R, Q)
+                R = self._chord(R, Q)
             n >>= 1
             if n:
-                Q = self.double(Q)
+                Q = self._chord(Q, Q)
         return R
 
     # -- halving -------------------------------------------------------------
@@ -187,27 +192,45 @@ class MordellCurve:
         """All affine points with x = a/e^2, gcd(a, e) = 1, within the bounds.
 
         Both y signs are returned; the list is ordered by (e, a, y).
+
+        With k = kn/kd, x = a/e^2 is on the curve exactly when the integer
+        N = kd*(kd*a^3 + kn*e^6) is a square, and then y = +-isqrt(N)/(kd*e^3).
+        For each e, tables of which residues of a modulo each of
+        _SIEVE_MODULI make N a square there reject most a before the exact
+        isqrt test (the residue sieve of Stoll's ratpoints).
         """
         if e_bound < 1 or a_bound < 1:
             raise ValueError("bounds must be >= 1")
+        kn, kd = self.k.numerator, self.k.denominator
         out: list[CurvePoint] = []
         for e in range(1, e_bound + 1):
             e2 = e * e
+            c = kn * e2**3
+            sieve = [
+                (q, bytes(kd * (kd * a**3 + c) % q in _SQUARES_MOD[q] for a in range(q)))
+                for q in _SIEVE_MODULI
+            ]
             for a in range(-a_bound, a_bound + 1):
-                if gcd(a, e) != 1:
-                    continue
-                c = Fraction(a, e2) ** 3 + self.k
-                if c < 0:
-                    continue
-                y = perfect_square_root(c)
-                if y is None:
-                    continue
-                x = Fraction(a, e2)
-                if y == 0:
-                    out.append(CurvePoint(x, y))
+                # a plain loop with break: a generator in any() would cost more than the sieve saves
+                for q, is_square in sieve:
+                    if not is_square[a % q]:
+                        break
                 else:
-                    out.append(CurvePoint(x, -y))
-                    out.append(CurvePoint(x, y))
+                    if gcd(a, e) != 1:
+                        continue
+                    N = kd * (kd * a**3 + c)
+                    if N < 0:
+                        continue
+                    r = isqrt(N)
+                    if r * r != N:
+                        continue
+                    x = Fraction(a, e2)
+                    if r == 0:
+                        out.append(CurvePoint(x, Fraction(0)))
+                    else:
+                        y = Fraction(r, kd * e2 * e)
+                        out.append(CurvePoint(x, -y))
+                        out.append(CurvePoint(x, y))
         return out
 
 

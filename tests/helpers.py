@@ -7,6 +7,7 @@ rational root theorem, and so on.
 
 from fractions import Fraction
 from math import gcd
+from math import isqrt
 
 
 def trial_factorize(n: int) -> dict[int, int]:
@@ -47,3 +48,25 @@ def naive_elem_square(m: int, comps):
     c1 = r * s + s * r + m * (t * t)
     c2 = r * t + s * s + t * r
     return (c0, c1, c2)
+
+
+def brute_search(k, e_bound: int, a_bound: int) -> list[tuple[Fraction, Fraction]]:
+    """Every (x, y) on y^2 = x^3 + k with x = a/e^2, gcd(a, e) = 1, e <= e_bound,
+    |a| <= a_bound, by building each x as a Fraction and testing x^3 + k for a
+    rational square; ordered by (e, a, y) with both signs of y."""
+    k = Fraction(k)
+    out = []
+    for e in range(1, e_bound + 1):
+        for a in range(-a_bound, a_bound + 1):
+            if gcd(a, e) != 1:
+                continue
+            x = Fraction(a, e * e)
+            c = x**3 + k
+            if c < 0:
+                continue
+            num, den = isqrt(c.numerator), isqrt(c.denominator)
+            if num * num != c.numerator or den * den != c.denominator:
+                continue
+            y = Fraction(num, den)
+            out.extend([(x, y)] if y == 0 else [(x, -y), (x, y)])
+    return out

@@ -247,3 +247,9 @@ def test_perfect_cube_root():
 @settings(max_examples=200, deadline=None)
 def test_icbrt_is_the_floor_cube_root(n):
     assert icbrt(n) == sympy.integer_nthroot(n, 3)[0]
+
+
+def test_effort_exceeded_states_its_budget():
+    p, q = 2**61 - 1, 2305843009213693967
+    with pytest.raises(EffortExceeded, match=r"^rho: 10 of 10 iterations, cofactor of 37 digits$"):
+        factorize(p * q, effort_bound=10)

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -275,3 +278,33 @@ def test_any_argv_exits_with_a_code(command, arguments, flags):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2)
+
+
+def test_table_rows_not_a_list(capsys, tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text('{"rows": 5}')
+    code, out, err = run(capsys, "table1", "--table", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "rows" in err
+
+
+def test_table_not_an_object(capsys, tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text("[1, 2]")
+    code, out, err = run(capsys, "table1", "--table", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["-c", "import purecubic, sys; assert 'mpmath' not in sys.modules"], ""),
+    (["-m", "purecubic.cli", "curve-add", "-2", "3", "5", "3", "5"], "(129/100, -383/1000)\n"),
+])
+def test_mpmath_is_not_imported(argv, stdout):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == stdout
+    imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.count("|") == 2}
+    assert "purecubic" in imported and "mpmath" not in imported

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from purecubic.errors import InvalidPoint
 from purecubic.mordell import INFINITY, MordellCurve, affine, x_as_a_over_e2
 
 from helpers import brute_rational_roots
+from helpers import brute_search
 
 
 def pts(curve, *pairs):
@@ -223,3 +226,64 @@ def test_x_as_a_over_e2():
     assert x_as_a_over_e2(Fraction(4873, 36)) == (4873, 6)
     with pytest.raises(InvalidPoint):
         x_as_a_over_e2(Fraction(1, 2))
+
+
+# -- the sieved search and the check-once scalar_mul against independent oracles --
+
+_nonzero_k = st.integers(-500, 500).filter(lambda k: k != 0)
+_fractional_k = st.builds(Fraction, st.integers(-500, 500).filter(lambda n: n != 0),
+                          st.sampled_from([8, 27, 64, 7, 12]))
+# k = y^2 - x^3 for a chosen x = a/e^2, y = b/e^3, so the box holds at least one point
+_planted_k = st.builds(lambda a, b, e: Fraction(b * b - a**3, e**6), st.integers(-30, 30),
+                       st.integers(0, 200), st.integers(1, 3)).filter(lambda k: k != 0)
+
+
+@given(st.one_of(_nonzero_k, _fractional_k, _planted_k), st.integers(1, 4), st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_search_matches_brute_force(k, e_bound, a_bound):
+    got = MordellCurve(k).search(e_bound, a_bound)
+    assert [(P.x, P.y) for P in got] == brute_search(k, e_bound, a_bound)
+
+
+@pytest.mark.parametrize("k, e_bound, a_bound", [(-2, 8, 2000), (17, 6, 2000), (-26, 5, 2500)])
+def test_search_matches_brute_force_on_wide_boxes(k, e_bound, a_bound):
+    got = MordellCurve(k).search(e_bound, a_bound)
+    assert got and [(P.x, P.y) for P in got] == brute_search(k, e_bound, a_bound)
+
+
+_MULTIPLE_CASES = [
+    (1, (-1, 0)), (1, (0, 1)), (1, (0, -1)), (1, (2, 3)), (1, (2, -3)),  # torsion of orders 2, 3, 6
+    (-2, (3, 5)), (-26, (3, 1)), (17, (-2, 3)), (Fraction(-1, 32), (Fraction(3, 4), Fraction(5, 8))),
+]
+
+
+@given(st.sampled_from(_MULTIPLE_CASES), st.integers(-30, 30))
+@settings(max_examples=200, deadline=None)
+def test_scalar_mul_matches_repeated_add(case, n):
+    k, xy = case
+    C = MordellCurve(k)
+    P = C.point(*xy)
+    step = P if n >= 0 else -P
+    R = INFINITY
+    for _ in range(abs(n)):
+        R = C.add(R, step)
+    assert C.scalar_mul(n, P) == R
+
+
+def test_scalar_mul_checks_the_point_once(monkeypatch):
+    calls = []
+    contains = MordellCurve.contains
+
+    def counting(self, P):
+        calls.append(P)
+        return contains(self, P)
+
+    monkeypatch.setattr(MordellCurve, "contains", counting)
+    C = MordellCurve(-2)
+    P = affine(3, 5)
+    assert C.scalar_mul(37, P) == C.scalar_mul(-37, -P)
+    assert calls == [P, -P]
+    calls.clear()
+    with pytest.raises(InvalidPoint):
+        C.scalar_mul(37, affine(3, 4))
+    assert calls == [affine(3, 4)]
