@@ -1,8 +1,10 @@
 """Arbitrary-precision integer and rational kernels.
 
 Everything downstream leans on four primitives implemented here:
-exact factorization with an explicit effort budget, perfect-square
-detection for rationals, rational roots of integer polynomials, and
+exact factorization with an explicit effort budget (trial division,
+then a Pollard rho that takes one gcd per block of steps), perfect-square
+detection for rationals, rational roots of integer polynomials (a
+divisor search cut at Cauchy's bound and sieved by Gauss's lemma), and
 reconstruction of a rational from a high-precision real approximation.
 
 Rationals are plain ``fractions.Fraction`` values (always reduced,
@@ -23,6 +25,9 @@ Rat = Fraction
 DEFAULT_EFFORT = 500_000
 
 _TRIAL_BOUND = 10_000
+
+# Pollard rho steps per gcd of the product of differences.
+_RHO_BLOCK = 64
 
 # Strong-pseudoprime bases that make Miller-Rabin deterministic below
 # _CERTIFIED_BOUND (covers all 64-bit integers with a wide margin).
@@ -75,6 +80,12 @@ def _rho_split(n: int, budget: int) -> tuple[int | None, int]:
     Brent-cycle Pollard rho with deterministic parameters; returns
     (factor or None, iterations used). The polynomial constant is
     stepped on cycle failure so retries stay reproducible.
+
+    One gcd is taken per block of _RHO_BLOCK steps, on the product of
+    the differences mod n (Brent's product trick). A block whose gcd is
+    not 1 is replayed from its saved state with a gcd at every step, so
+    the first hit, and with it (factor, used), is the one a gcd at every
+    step would give.
     """
     used = 0
     c = 1
@@ -83,14 +94,31 @@ def _rho_split(n: int, budget: int) -> tuple[int | None, int]:
         d = 1
         power = lam = 1
         while d == 1 and used < budget:
-            if power == lam:
-                y = x
-                power *= 2
-                lam = 0
-            x = (x * x + c) % n
-            lam += 1
-            used += 1
-            d = gcd(abs(x - y), n)
+            block = min(_RHO_BLOCK, budget - used)
+            start = (x, y, power, lam)
+            q = 1
+            for _ in range(block):
+                if power == lam:
+                    y = x
+                    power *= 2
+                    lam = 0
+                x = (x * x + c) % n
+                lam += 1
+                q = q * (x - y) % n
+            if gcd(q, n) == 1:
+                used += block
+                continue
+            # some step of the block shares a factor with n: find the first one
+            x, y, power, lam = start
+            while d == 1:
+                if power == lam:
+                    y = x
+                    power *= 2
+                    lam = 0
+                x = (x * x + c) % n
+                lam += 1
+                used += 1
+                d = gcd(abs(x - y), n)
         if 1 < d < n:
             return d, used
         c += 1
@@ -130,6 +158,8 @@ def factorize(n: int, effort_bound: int = DEFAULT_EFFORT) -> Factorization:
     """
     if n == 0:
         raise ValueError("cannot factor 0")
+    if effort_bound < 0:
+        raise ValueError(f"effort bound must be >= 0, got {effort_bound}")
     original = n
     sign = 1 if n > 0 else -1
     n = abs(n)
@@ -285,9 +315,12 @@ def rational_roots(p: IntPoly, effort_bound: int = DEFAULT_EFFORT) -> set[Rat]:
     """All rational roots of a nonzero integer polynomial.
 
     Strips powers of x first (recording the root 0), then enumerates
-    candidates num/den with num dividing the constant term and den
-    dividing the leading coefficient; each candidate is verified by
-    exact evaluation.
+    candidates +-num/den in lowest terms, num dividing the constant term
+    and den the leading coefficient, up to Cauchy's bound
+    |x| < 1 + max|c_i|/|c_d|. By Gauss's lemma a root p/q gives
+    f = (q*x - p)*g with g integral, so (q - p) divides f(1) and
+    (q + p) divides f(-1); a candidate passing both tests is verified
+    exactly with the homogenised sum of c_i * p^i * q^(d-i).
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every rational as a root")
@@ -298,21 +331,38 @@ def rational_roots(p: IntPoly, effort_bound: int = DEFAULT_EFFORT) -> set[Rat]:
         cs = cs[1:]
     if len(cs) == 1:
         return roots
-    stripped = IntPoly(tuple(cs))
     num_divs = factorize(cs[0], effort_bound).divisors()
     den_divs = factorize(cs[-1], effort_bound).divisors()
-    seen: set[Fraction] = set()
+    cauchy = 2 + max(abs(c) for c in cs[:-1]) // abs(cs[-1])
+    f1 = sum(cs)
+    fm1 = sum(cs[0::2]) - sum(cs[1::2])
+    tail = cs[-2::-1]  # c_(d-1), ..., c_0
+
+    def is_root(num: int, den: int) -> bool:
+        acc, den_pow = cs[-1], 1
+        for c in tail:
+            den_pow *= den
+            acc = acc * num + c * den_pow
+        return acc == 0
+
     for dn in den_divs:
         for nm in num_divs:
+            if nm >= dn * cauchy:
+                break
             if gcd(nm, dn) != 1:
                 continue
-            for cand in (Fraction(nm, dn), Fraction(-nm, dn)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if stripped(cand) == 0:
-                    roots.add(cand)
+            # q - p and q + p for p/q = nm/dn are (dn - nm, dn + nm); for -nm/dn, swapped
+            lo, hi = dn - nm, dn + nm
+            if fm1 % hi == 0 and _divides(lo, f1) and is_root(nm, dn):
+                roots.add(Fraction(nm, dn))
+            if f1 % hi == 0 and _divides(lo, fm1) and is_root(-nm, dn):
+                roots.add(Fraction(-nm, dn))
     return roots
+
+
+def _divides(d: int, n: int) -> bool:
+    """d | n, where 0 divides only 0."""
+    return n % d == 0 if d else n == 0
 
 
 def _to_fraction_exact(x) -> Fraction:

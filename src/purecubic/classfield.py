@@ -181,6 +181,14 @@ def load_table1(path: str | None = None) -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
+def _row_int(raw: dict, key: str, name: str) -> int:
+    """raw[key] as an int, or a ValueError naming the row."""
+    try:
+        return int(raw[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: {key} = {raw[key]!r} is not an integer") from None
+
+
 def table1_verify(path: str | None = None, effort_bound: int = DEFAULT_EFFORT) -> Table1Result:
     """Recompute every dataset row and compare against its recorded values.
 
@@ -195,13 +203,18 @@ def table1_verify(path: str | None = None, effort_bound: int = DEFAULT_EFFORT) -
     if not isinstance(data["rows"], list) or not all(isinstance(raw, dict) for raw in data["rows"]):
         raise ValueError("table \"rows\" must be a list of objects")
     rows: list[Table1Row] = []
-    for raw in data["rows"]:
-        field_m = int(raw["field_m"])
-        k = int(raw["k"])
-        x = Fraction(int(raw["x_num"]), int(raw["x_den"]))
+    for index, raw in enumerate(data["rows"]):
+        name = f"row {index} (m={raw.get('m')!r})"
+        m, field_m, k, x_num, x_den = (
+            _row_int(raw, key, name) for key in ("m", "field_m", "k", "x_num", "x_den")
+        )
+        for key, value in (("field_m", field_m), ("x_den", x_den)):
+            if value == 0:
+                raise ValueError(f"{name}: {key} must be nonzero")
+        x = Fraction(x_num, x_den)
         cube = perfect_cube_root(-k // field_m) if k % field_m == 0 else None
         if cube is None:
-            raise ValueError(f"row m={raw['m']}: k = {k} is not -field_m * b^3")
+            raise ValueError(f"{name}: k = {k} is not -field_m * b^3")
         b = cube
         y2 = x**3 + k
         y = perfect_square_root(y2)
@@ -210,7 +223,7 @@ def table1_verify(path: str | None = None, effort_bound: int = DEFAULT_EFFORT) -
             # cannot even build the point; record the failure and move on
             rows.append(
                 Table1Row(
-                    m=int(raw["m"]), field_m=field_m, k=k, x=x, b=b,
+                    m=m, field_m=field_m, k=k, x=x, b=b,
                     report=None, on_curve=False, alpha_match=False,
                     printed_alpha_match=False, norm_square=False,
                     flags_match=False, sextic_match=None, note=raw.get("note"),
@@ -219,12 +232,14 @@ def table1_verify(path: str | None = None, effort_bound: int = DEFAULT_EFFORT) -
             continue
         P = CurvePoint(x, y)
         report = unramified_conditions(kappa_element(field_m, b, P, effort_bound))
-        want_a = int(raw["alpha_a"])
-        want_coeff = int(raw["alpha_b_coeff"])
+        want_a = _row_int(raw, "alpha_a", name)
+        want_coeff = _row_int(raw, "alpha_b_coeff", name)
         got_coeff = -report.b * report.e**2
         alpha_match = report.a == want_a and got_coeff == want_coeff
         printed = raw.get("alpha_b_coeff_printed")
-        printed_alpha_match = printed is None or int(printed) == got_coeff
+        printed_alpha_match = (
+            printed is None or _row_int(raw, "alpha_b_coeff_printed", name) == got_coeff
+        )
         flags = {
             "eligible_mod9": report.eligible_mod9,
             "gcd_ab_ok": report.gcd_ab_ok,
@@ -235,11 +250,14 @@ def table1_verify(path: str | None = None, effort_bound: int = DEFAULT_EFFORT) -
         flags_match = flags == raw["expected_flags"]
         sextic_match = None
         if raw.get("expected_sextics"):
-            wanted = [IntPoly(tuple(int(c) for c in cs)) for cs in raw["expected_sextics"]]
+            try:
+                wanted = [IntPoly(tuple(int(c) for c in cs)) for cs in raw["expected_sextics"]]
+            except (TypeError, ValueError):
+                raise ValueError(f"{name}: expected_sextics must be lists of integers") from None
             sextic_match = report.sextic in wanted
         rows.append(
             Table1Row(
-                m=int(raw["m"]),
+                m=m,
                 field_m=field_m,
                 k=k,
                 x=x,

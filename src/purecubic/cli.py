@@ -83,6 +83,8 @@ def _parse_argv(argv: list[str]):
         i += 1
     if not positional:
         raise UsageError("no command given")
+    if opts["effort"] < 0:
+        raise UsageError(f"--effort must be >= 0, got {opts['effort']}")
     return positional[0], positional[1:], opts
 
 

@@ -70,3 +70,27 @@ def brute_search(k, e_bound: int, a_bound: int) -> list[tuple[Fraction, Fraction
             y = Fraction(num, den)
             out.extend([(x, y)] if y == 0 else [(x, -y), (x, y)])
     return out
+
+
+def per_step_rho(n: int, budget: int) -> tuple[int | None, int]:
+    """Brent-cycle Pollard rho with a gcd at every step: the reference that
+    the block-gcd arith._rho_split must match, (factor, used) for (factor, used)."""
+    used = 0
+    c = 1
+    while used < budget:
+        x = y = 2
+        d = 1
+        power = lam = 1
+        while d == 1 and used < budget:
+            if power == lam:
+                y = x
+                power *= 2
+                lam = 0
+            x = (x * x + c) % n
+            lam += 1
+            used += 1
+            d = gcd(abs(x - y), n)
+        if 1 < d < n:
+            return d, used
+        c += 1
+    return None, used

@@ -21,6 +21,9 @@ from purecubic.arith import (
 from purecubic.errors import EffortExceeded
 
 from helpers import brute_rational_roots, trial_factorize
+from helpers import per_step_rho
+from purecubic.arith import _rho_split
+from purecubic.mordell import MordellCurve, affine
 
 
 class TestFactorize:
@@ -253,3 +256,90 @@ def test_effort_exceeded_states_its_budget():
     p, q = 2**61 - 1, 2305843009213693967
     with pytest.raises(EffortExceeded, match=r"^rho: 10 of 10 iterations, cofactor of 37 digits$"):
         factorize(p * q, effort_bound=10)
+
+
+def _times_linear(coeffs: list[int], q: int, p: int) -> list[int]:
+    """The ascending coefficients of (coeffs) * (q*x - p)."""
+    padded = [0, *coeffs, 0]
+    return [q * padded[i] - p * padded[i + 1] for i in range(len(coeffs) + 1)]
+
+
+_planted_root = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 20)),
+)
+
+
+@st.composite
+def _planted_poly(draw) -> list[int]:
+    """A scaled cofactor times (q*x - p)^k for up to three planted roots p/q.
+
+    The scales include the highly composite 720720 (240 divisors) and
+    negative numbers, so the end coefficients can carry hundreds of
+    divisors and the leading coefficient takes either sign."""
+    cofactor = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=4).filter(any))
+    scale = draw(st.sampled_from([1, -1, 6, -12, 720720, -720720]))
+    coeffs = [scale * c for c in cofactor]
+    for root, multiplicity in draw(st.lists(st.tuples(_planted_root, st.integers(1, 2)), max_size=3)):
+        for _ in range(multiplicity):
+            coeffs = _times_linear(coeffs, root.denominator, root.numerator)
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+@given(_planted_poly())
+@settings(max_examples=200, deadline=None)
+def test_rational_roots_match_sympy(coeffs):
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed(coeffs)), x)
+    expected = {Fraction(int(r.p), int(r.q)) for r in sympy.roots(poly, filter="Q")}
+    got = rational_roots(IntPoly(tuple(coeffs)))
+    assert got == expected
+    height = 8
+    small = {r for r in got if abs(r.numerator) <= height and r.denominator <= height}
+    assert small == brute_rational_roots(coeffs, height)
+
+
+@pytest.mark.parametrize("coeffs, roots", [
+    ((-(10**9 + 7), 1), {Fraction(10**9 + 7)}),  # root c0 at Cauchy's bound 2 + c0
+    ((10**9 + 7, 3), {Fraction(-(10**9 + 7), 3)}),
+    ((-(2**61 - 1), 720720), {Fraction(2**61 - 1, 720720)}),
+    ((-(10**6 + 1), -(10**6), 1), {Fraction(10**6 + 1), Fraction(-1)}),  # (x - (M + 1))(x + 1)
+    ((-1, 0, 0, 1), {Fraction(1)}),  # f(1) = 0
+    ((1, 0, 0, 1), {Fraction(-1)}),  # f(-1) = 0
+    ((-1, 0, 1), {Fraction(1), Fraction(-1)}),  # f(1) = f(-1) = 0
+    ((1, -2, 1), {Fraction(1)}),  # (x - 1)^2
+    ((0, 0, 0, -5), {Fraction(0)}),
+])
+def test_rational_roots_edge_cases(coeffs, roots):
+    assert rational_roots(IntPoly(coeffs)) == roots
+
+
+def test_factorize_rejects_a_negative_budget():
+    with pytest.raises(ValueError, match="effort bound must be >= 0"):
+        factorize(12, -5)
+
+
+def test_block_rho_matches_per_step_rho_on_small_composites():
+    for n in range(9, 5000, 2):
+        if certified_prime(n):
+            continue
+        for budget in (1, 5, 63, 64, 65, 200):
+            assert _rho_split(n, budget) == per_step_rho(n, budget), (n, budget)
+
+
+@given(st.integers(10, 20), st.integers(10, 20), st.data())
+@settings(max_examples=100, deadline=None)
+def test_block_rho_matches_per_step_rho_on_semiprimes(p_bits, q_bits, data):
+    p = sympy.nextprime(data.draw(st.integers(2 ** (p_bits - 1), 2**p_bits)))
+    q = sympy.nextprime(data.draw(st.integers(2 ** (q_bits - 1), 2**q_bits)))
+    assert _rho_split(p * q, 500_000) == per_step_rho(p * q, 500_000)
+
+
+def test_rung5_constant_coefficient_still_exceeds_the_budget():
+    curve = MordellCurve(-2)
+    P = affine(3, 5)
+    quartic = curve.halving_quartic(curve.double(curve.scalar_mul(5, P)).x)
+    with pytest.raises(EffortExceeded, match=r"^rho: 500000 of 500000 iterations, cofactor of 36 digits$"):
+        factorize(quartic.coeffs[0])

@@ -308,3 +308,33 @@ def test_mpmath_is_not_imported(argv, stdout):
     assert proc.returncode == 0 and proc.stdout == stdout
     imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.count("|") == 2}
     assert "purecubic" in imported and "mpmath" not in imported
+
+
+@pytest.mark.parametrize("row, field", [
+    ({"m": 1, "field_m": None, "k": 2, "x_num": 1, "x_den": 1}, "field_m"),
+    ({"m": 1, "field_m": 1, "k": 2, "x_num": 1, "x_den": 0}, "x_den"),
+    ({"m": 1, "field_m": 0, "k": 2, "x_num": 1, "x_den": 1}, "field_m"),
+], ids=["field_m-null", "x_den-zero", "field_m-zero"])
+def test_table_row_field_is_a_usage_error(capsys, tmp_path, row, field):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"rows": [row]}))
+    code, out, err = run(capsys, "table1", "--table", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: row 0 (m=1): ") and field in err.splitlines()[0]
+
+
+def test_negative_effort_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "--effort", "-5", "halve", "-2", "3", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --effort must be >= 0")
+
+
+@pytest.mark.parametrize("field, value", [("alpha_b_coeff_printed", [1]), ("expected_sextics", [[None]])])
+def test_table_row_check_field_is_a_usage_error(capsys, tmp_path, field, value):
+    row = {"m": "11", "field_m": "11", "k": "-11", "x_num": "9", "x_den": "4", "alpha_a": "9",
+           "alpha_b_coeff": "-4", "expected_flags": {}, field: value}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"rows": [row]}))
+    code, out, err = run(capsys, "table1", "--table", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: row 0 (m='11'): ") and field in err.splitlines()[0]

@@ -287,3 +287,11 @@ def test_scalar_mul_checks_the_point_once(monkeypatch):
     with pytest.raises(InvalidPoint):
         C.scalar_mul(37, affine(3, 4))
     assert calls == [affine(3, 4)]
+
+
+def test_halve_the_21_digit_rung():
+    # x(6P) for P = (3, 5) on y^2 = x^3 - 2 has a 21-digit numerator; its only half is 3P
+    C = MordellCurve(-2)
+    P3 = C.scalar_mul(3, affine(3, 5))
+    assert P3 == affine(Fraction(164323, 29241), Fraction(-66234835, 5000211))
+    assert C.halve(C.double(P3)) == {P3}
