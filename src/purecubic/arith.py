@@ -238,11 +238,11 @@ def perfect_cube_root(n: int) -> int | None:
     return r if n >= 0 else -r
 
 
-def cubefree_and_noncube(m: int, effort_bound: int = DEFAULT_EFFORT) -> tuple[bool, bool]:
+def cubefree_and_noncube(m: int) -> tuple[bool, bool]:
     """(is_cubefree, is_cube) flags of m != 0, from its factorization."""
     if m == 0:
         raise ValueError("m must be nonzero")
-    fac = factorize(m, effort_bound)
+    fac = factorize(m)
     is_cubefree = all(e < 3 for _, e in fac)
     is_cube = all(e % 3 == 0 for _, e in fac)  # sign is absorbed: -1 = (-1)^3
     return is_cubefree, is_cube
@@ -311,7 +311,7 @@ class IntPoly:
         return self.format()
 
 
-def rational_roots(p: IntPoly, effort_bound: int = DEFAULT_EFFORT) -> set[Rat]:
+def rational_roots(p: IntPoly) -> set[Rat]:
     """All rational roots of a nonzero integer polynomial.
 
     Strips powers of x first (recording the root 0), then enumerates
@@ -320,7 +320,8 @@ def rational_roots(p: IntPoly, effort_bound: int = DEFAULT_EFFORT) -> set[Rat]:
     |x| < 1 + max|c_i|/|c_d|. By Gauss's lemma a root p/q gives
     f = (q*x - p)*g with g integral, so (q - p) divides f(1) and
     (q + p) divides f(-1); a candidate passing both tests is verified
-    exactly with the homogenised sum of c_i * p^i * q^(d-i).
+    exactly with the homogenised sum of c_i * p^i * q^(d-i). Raises
+    EffortExceeded when factorize cannot split an end coefficient.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every rational as a root")
@@ -331,8 +332,8 @@ def rational_roots(p: IntPoly, effort_bound: int = DEFAULT_EFFORT) -> set[Rat]:
         cs = cs[1:]
     if len(cs) == 1:
         return roots
-    num_divs = factorize(cs[0], effort_bound).divisors()
-    den_divs = factorize(cs[-1], effort_bound).divisors()
+    num_divs = factorize(cs[0]).divisors()
+    den_divs = factorize(cs[-1]).divisors()
     cauchy = 2 + max(abs(c) for c in cs[:-1]) // abs(cs[-1])
     f1 = sum(cs)
     fm1 = sum(cs[0::2]) - sum(cs[1::2])

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DEFAULT_EFFORT, perfect_square_root
+from .arith import perfect_square_root
 from .errors import InvalidPoint, NotBinomial, ZeroElement
 from .field import CubicElement, CubicField
 from .mordell import INFINITY, CurvePoint, MordellCurve
@@ -163,19 +163,16 @@ def star(alpha1: CubicElement, alpha2: CubicElement) -> CubicElement:
     return elem_from_point(field, w1.b, -total).alpha
 
 
-def is_square_binomial(
-    field: CubicField,
-    a,
-    b,
-    effort_bound: int = DEFAULT_EFFORT,
-) -> CubicElement | None:
+def is_square_binomial(field: CubicField, a, b) -> CubicElement | None:
     """Decide whether a - b*w is a square in the field.
 
     Necessary first: the norm a^3 - m b^3 must be a rational square y^2.
-    If it is, a - b*w is a square exactly when (a, +-y) is divisible by
-    2 on the twist y^2 = x^3 - m*b^3; a halving preimage then yields the
-    root directly. Returns the root with positive real embedding, or
-    None.
+    If it is, a - b*w is a square exactly when (a, y) is divisible by 2
+    on the twist y^2 = x^3 - m*b^3; a halving preimage then yields the
+    root directly. One halving settles both signs of y: the points are
+    P and -P, and halve(-P) is the negation of halve(P), so either both
+    are empty or neither is. Returns the root with positive real
+    embedding, or None.
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0 and b == 0:
@@ -188,34 +185,21 @@ def is_square_binomial(
     if y is None:
         return None
     curve = MordellCurve.twist(field.m, b)
-    for y_signed in (y, -y):
-        P = CurvePoint(a, y_signed)
-        for Q in curve.halve(P, effort_bound):
-            alpha = elem_from_point(field, b, Q).alpha
-            return alpha.positive_embedding()
+    for Q in curve.halve(CurvePoint(a, y)):
+        return elem_from_point(field, b, Q).alpha.positive_embedding()
     return None
 
 
-def nonsquare_certificate(
-    field: CubicField,
-    P: CurvePoint,
-    effort_bound: int = DEFAULT_EFFORT,
-) -> bool:
+def nonsquare_certificate(field: CubicField, P: CurvePoint) -> bool:
     """True when x(P) - w is certified not a square in the field.
 
-    P must be affine on y^2 = x^3 - m. Two routes are used and must
-    agree: the halving preimage of P is empty, and the squareness
-    decision for x(P) - w comes back negative.
+    P must be affine on y^2 = x^3 - m. By the correspondence, x(P) - w
+    is a square exactly when P is divisible by 2, so the certificate is
+    an exact halving of P that comes back empty.
     """
     if P.is_infinity:
         raise InvalidPoint("need an affine point")
     curve = MordellCurve.from_m(field.m)
     if not curve.contains(P):
         raise InvalidPoint(f"{P} is not on {curve}")
-    halvable = bool(curve.halve(P, effort_bound))
-    via_decision = is_square_binomial(field, P.x, 1, effort_bound)
-    if halvable != (via_decision is not None):
-        raise AssertionError(
-            f"halving and squareness disagree at {P}: {halvable} vs {via_decision}"
-        )
-    return not halvable
+    return not curve.halve(P)

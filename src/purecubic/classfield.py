@@ -25,8 +25,8 @@ from fractions import Fraction
 from importlib import resources
 from math import gcd
 
-from .arith import DEFAULT_EFFORT, IntPoly, perfect_cube_root, perfect_square_root
-from .errors import AlphaIsSquare, EffortExceeded, FieldMismatch, InvalidPoint
+from .arith import IntPoly, perfect_cube_root, perfect_square_root
+from .errors import AlphaIsSquare, FieldMismatch, InvalidPoint
 from .field import CubicElement, CubicField
 from .mordell import CurvePoint, MordellCurve, x_as_a_over_e2
 
@@ -48,17 +48,17 @@ class KappaReport:
     two_divides_e: bool
     a_pos_1mod4: bool
     sextic: IntPoly
-    already_square: bool | None  # None: halving exceeded the effort budget
+    already_square: bool  # the point is divisible by 2, so alpha is a square
     claims_unramified: bool | None = None
 
 
-def kappa_element(
-    m: int, b: int, P: CurvePoint, effort_bound: int = DEFAULT_EFFORT
-) -> KappaReport:
+def kappa_element(m: int, b: int, P: CurvePoint) -> KappaReport:
     """Build the report for a point on y^2 = x^3 - m*b^3.
 
     The norm is asserted to be the square of y*e^3; eligibility flags
-    are computed but never enforced.
+    are computed but never enforced. already_square comes from an exact
+    halving of P; when that halving cannot finish, EffortExceeded
+    propagates rather than leaving the question open.
     """
     if b == 0:
         raise ValueError("twist scale b must be nonzero")
@@ -73,10 +73,6 @@ def kappa_element(
     norm = Fraction(a**3 - m * b**3 * e**6)
     assert norm == (P.y * e**3) ** 2, "norm must equal (y*e^3)^2 for on-curve points"
     norm_sqrt = perfect_square_root(norm)
-    try:
-        already_square = bool(curve.halve(P, effort_bound))
-    except EffortExceeded:
-        already_square = None
     sextic = IntPoly((-int(norm), 0, 3 * a * a, 0, -3 * a, 0, 1))
     return KappaReport(
         m=m,
@@ -92,7 +88,7 @@ def kappa_element(
         two_divides_e=e % 2 == 0,
         a_pos_1mod4=a > 0 and a % 4 == 1,
         sextic=sextic,
-        already_square=already_square,
+        already_square=bool(curve.halve(P)),
     )
 
 
@@ -111,9 +107,9 @@ def sqrt_ext_minpoly(report: KappaReport) -> IntPoly:
     """Defining sextic of sqrt(alpha) over Q.
 
     Refuses (AlphaIsSquare) when the point is divisible by 2, since
-    alpha is then a square and generates nothing. If halving exceeded
-    its effort budget the check is skipped and the sextic returned
-    anyway; callers can see this on report.already_square being None.
+    alpha is then a square and generates nothing. A report always
+    carries a decided already_square, so a returned sextic is always
+    backed by an empty halving.
     """
     if report.already_square:
         raise AlphaIsSquare(f"{report.alpha} is a square: {report.point} is divisible by 2")
@@ -123,17 +119,15 @@ def sqrt_ext_minpoly(report: KappaReport) -> IntPoly:
 def kappa_pairwise_distinct(reports: list[KappaReport]) -> bool:
     """Necessary condition for the extensions to be pairwise distinct.
 
-    True when every underlying point has an empty halving preimage.
-    Reports must all live over the same field.
+    True when every underlying point has an empty halving preimage,
+    which each report has already decided. Reports must all live over
+    the same field.
     """
     if not reports:
         return True
     if len({r.m for r in reports}) != 1:
         raise FieldMismatch("reports span different fields")
-    for r in reports:
-        if r.already_square is None:
-            raise EffortExceeded(f"halving unresolved for {r.point}")
-    return all(r.already_square is False for r in reports)
+    return not any(r.already_square for r in reports)
 
 
 # -- Table 1 verification ----------------------------------------------------
@@ -189,7 +183,7 @@ def _row_int(raw: dict, key: str, name: str) -> int:
         raise ValueError(f"{name}: {key} = {raw[key]!r} is not an integer") from None
 
 
-def table1_verify(path: str | None = None, effort_bound: int = DEFAULT_EFFORT) -> Table1Result:
+def table1_verify(path: str | None = None) -> Table1Result:
     """Recompute every dataset row and compare against its recorded values.
 
     Per row: the point lies on the stated curve, the recomputed element
@@ -231,7 +225,7 @@ def table1_verify(path: str | None = None, effort_bound: int = DEFAULT_EFFORT) -
             )
             continue
         P = CurvePoint(x, y)
-        report = unramified_conditions(kappa_element(field_m, b, P, effort_bound))
+        report = unramified_conditions(kappa_element(field_m, b, P))
         want_a = _row_int(raw, "alpha_a", name)
         want_coeff = _row_int(raw, "alpha_b_coeff", name)
         got_coeff = -report.b * report.e**2

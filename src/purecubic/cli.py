@@ -6,7 +6,6 @@ frequently negative rationals ('-383/1000'), which standard option
 parsers mistake for flags. Flags may appear anywhere:
 
     --json             one self-describing JSON record per line
-    --effort N         factoring / halving budget
     --table PATH       alternate table1 dataset
     --e-bound N        search: denominator bound
     --a-bound N        search: numerator bound
@@ -24,14 +23,14 @@ import contextlib
 import json
 import sys
 
-from .arith import DEFAULT_EFFORT, parse_rat
+from .arith import parse_rat
 from .binsq import elem_from_point, is_square_binomial, point_from_elem, star, star_parts
 from .classfield import kappa_element, sqrt_ext_minpoly, table1_verify, unramified_conditions
 from .errors import DomainError
 from .field import CubicElement, CubicField
 from .mordell import INFINITY, CurvePoint, MordellCurve
 
-USAGE = """usage: purecubic [--json] [--effort N] [--table PATH] COMMAND ARGS
+USAGE = """usage: purecubic [--json] [--table PATH] COMMAND ARGS
 
 commands (points are 'x y' pairs, or 'inf'; rationals are 'p' or 'p/q'):
   curve-add k P Q            sum of two points on y^2 = x^3 + k
@@ -56,14 +55,14 @@ class UsageError(Exception):
 
 
 def _parse_argv(argv: list[str]):
-    opts = {"json": False, "effort": DEFAULT_EFFORT, "table": None, "e_bound": None, "a_bound": None}
+    opts = {"json": False, "table": None, "e_bound": None, "a_bound": None}
     positional: list[str] = []
     i = 0
     while i < len(argv):
         tok = argv[i]
         if tok == "--json":
             opts["json"] = True
-        elif tok in ("--effort", "--e-bound", "--a-bound", "--table"):
+        elif tok in ("--e-bound", "--a-bound", "--table"):
             if i + 1 >= len(argv):
                 raise UsageError(f"{tok} needs a value")
             val = argv[i + 1]
@@ -83,8 +82,6 @@ def _parse_argv(argv: list[str]):
         i += 1
     if not positional:
         raise UsageError("no command given")
-    if opts["effort"] < 0:
-        raise UsageError(f"--effort must be >= 0, got {opts['effort']}")
     return positional[0], positional[1:], opts
 
 
@@ -138,8 +135,7 @@ def _curve_result(curve: MordellCurve, R: CurvePoint, **extra):
 
 
 def _halve(opts, curve, P):
-    preimages = sorted(curve.halve(P, opts["effort"]),
-                       key=lambda Q: (Q.is_infinity, Q.x or 0, Q.y or 0))
+    preimages = sorted(curve.halve(P), key=lambda Q: (Q.is_infinity, Q.x or 0, Q.y or 0))
     rec = {"k": str(curve.k), "preimages": [_point_rec(Q) for Q in preimages]}
     return rec, ", ".join(str(Q) for Q in preimages) or "(none)"
 
@@ -176,7 +172,7 @@ def _star(opts, field, a1, a2):
 
 
 def _square_test(opts, field, a, b):
-    root = is_square_binomial(field, a, b, opts["effort"])
+    root = is_square_binomial(field, a, b)
     rec = {"m": str(field.m), "a": str(a), "b": str(b), "square": root is not None,
            "root": _elem_rec(root) if root is not None else None}
     if root is None:
@@ -196,7 +192,7 @@ _KAPPA_FLAGS = (("eligible_mod9", "gcd_ab_ok", "two_divides_e", "a_pos_1mod4"),
 
 
 def _kappa(opts, m, b, P):
-    r = unramified_conditions(kappa_element(m, b, P, opts["effort"]))
+    r = unramified_conditions(kappa_element(m, b, P))
     flags = {f: getattr(r, f) for group in _KAPPA_FLAGS for f in group}
     rec = {
         "m": str(r.m),
@@ -216,7 +212,7 @@ def _kappa(opts, m, b, P):
 
 
 def _ext_poly(opts, m, b, P):
-    r = unramified_conditions(kappa_element(m, b, P, opts["effort"]))
+    r = unramified_conditions(kappa_element(m, b, P))
     poly = sqrt_ext_minpoly(r)
     return {"m": str(r.m), "b": str(r.b), "coeffs": [str(c) for c in poly.coeffs],
             "poly": poly.format()}, poly.format()
@@ -228,7 +224,7 @@ _ROW_CHECKS = ("passed", "on_curve", "alpha_match", "printed_alpha_match", "norm
 
 def _table1(opts):
     try:
-        result = table1_verify(opts["table"], opts["effort"])
+        result = table1_verify(opts["table"])
     except OSError as exc:
         raise UsageError(f"cannot read table: {exc}") from None
     except KeyError as exc:

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .arith import (
-    DEFAULT_EFFORT,
-    IntPoly,
-    cubefree_and_noncube,
-    perfect_square_root,
-    rational_reconstruct,
-)
+from .arith import IntPoly, cubefree_and_noncube, perfect_square_root, rational_reconstruct
 from .errors import FieldMismatch, PrecisionExceeded
 
 if TYPE_CHECKING:
@@ -40,7 +34,7 @@ class CubicField:
     def __post_init__(self):
         m = int(self.m)
         object.__setattr__(self, "m", m)
-        cubefree, cube = cubefree_and_noncube(m, DEFAULT_EFFORT)
+        cubefree, cube = cubefree_and_noncube(m)
         if cube:
             raise ValueError(f"m = {m} is a perfect cube; the field degenerates")
         if not cubefree:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import DEFAULT_EFFORT, IntPoly, perfect_square_root, rational_roots
+from .arith import IntPoly, perfect_cube_root, perfect_square_root, rational_roots
 from .errors import InvalidPoint
 
 
@@ -156,10 +156,17 @@ class MordellCurve:
 
     # -- halving -------------------------------------------------------------
 
-    def two_torsion(self, effort_bound: int = DEFAULT_EFFORT) -> set[CurvePoint]:
-        """Rational points of order 2 (y = 0); at most one on a Mordell curve."""
-        cubic = IntPoly.from_rationals([self.k, 0, 0, 1])
-        return {CurvePoint(r, Fraction(0)) for r in rational_roots(cubic, effort_bound)}
+    def two_torsion(self) -> set[CurvePoint]:
+        """Rational points of order 2 (y = 0): (-cbrt(k), 0) when k is a rational cube.
+
+        With k = kn/kd in lowest terms (kd > 0), -k is a rational cube
+        exactly when -kn and kd are integer cubes; no factoring is needed.
+        """
+        xn = perfect_cube_root(-self.k.numerator)
+        xd = perfect_cube_root(self.k.denominator)
+        if xn is None or xd is None:
+            return set()
+        return {CurvePoint(Fraction(xn, xd), Fraction(0))}
 
     def halving_quartic(self, X) -> IntPoly:
         """Integer form of the preimage quartic for x(2Q) = X."""
@@ -167,17 +174,19 @@ class MordellCurve:
         k = self.k
         return IntPoly.from_rationals([-4 * k * X, -8 * k, 0, -4 * X, 1])
 
-    def halve(self, P: CurvePoint, effort_bound: int = DEFAULT_EFFORT) -> set[CurvePoint]:
+    def halve(self, P: CurvePoint) -> set[CurvePoint]:
         """All rational Q with 2Q = P (possibly empty; at most two).
 
         For the point at infinity this is the rational 2-torsion plus
-        infinity itself.
+        infinity itself. Otherwise the preimages are the rational roots of
+        halving_quartic(x(P)), so EffortExceeded propagates from factorize
+        when its end coefficients cannot be split.
         """
         self._require(P)
         if P.is_infinity:
-            return {INFINITY} | self.two_torsion(effort_bound)
+            return {INFINITY} | self.two_torsion()
         found: set[CurvePoint] = set()
-        for x0 in rational_roots(self.halving_quartic(P.x), effort_bound):
+        for x0 in rational_roots(self.halving_quartic(P.x)):
             y0 = perfect_square_root(x0**3 + self.k)
             if y0 is None:
                 continue

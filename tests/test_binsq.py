@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from purecubic import mordell
 from purecubic.binsq import (
     elem_from_point,
     is_square_binomial,
@@ -281,6 +282,23 @@ class TestNonsquareCertificate:
     def test_infinity_rejected(self):
         with pytest.raises(InvalidPoint):
             nonsquare_certificate(F2, INFINITY)
+
+
+def test_each_square_decision_halves_once(monkeypatch):
+    calls = []
+    rational_roots = mordell.rational_roots
+
+    def counting(p):
+        calls.append(p)
+        return rational_roots(p)
+
+    monkeypatch.setattr(mordell, "rational_roots", counting)
+    # the norm 3^3 - 2 = 25 is a square, yet 3 - w is not: (3, +-5) is not divisible by 2
+    assert is_square_binomial(F2, 3, 1) is None
+    assert len(calls) == 1
+    calls.clear()
+    assert nonsquare_certificate(F2, affine(3, 5)) is True
+    assert len(calls) == 1
 
 
 class TestWeilMapProperty:

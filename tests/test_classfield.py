@@ -11,7 +11,7 @@ from purecubic.classfield import (
     table1_verify,
     unramified_conditions,
 )
-from purecubic.errors import AlphaIsSquare, FieldMismatch, InvalidPoint
+from purecubic.errors import AlphaIsSquare, EffortExceeded, FieldMismatch, InvalidPoint
 from purecubic.mordell import MordellCurve, affine
 
 
@@ -49,6 +49,14 @@ class TestKappaElement:
     def test_b_zero_rejected(self):
         with pytest.raises(ValueError):
             kappa_element(47, 0, affine(6, 13))
+
+    def test_exceeded_budget_raises(self):
+        # 10P = 2*(5P) makes alpha a square, but the halving cannot finish
+        # factoring, so the report refuses to leave already_square open
+        C = MordellCurve(-2)
+        P = C.scalar_mul(10, C.point(3, 5))
+        with pytest.raises(EffortExceeded, match="of 500000 iterations"):
+            kappa_element(2, 1, P)
 
 
 class TestUnramifiedConditions:

@@ -161,6 +161,15 @@ class TestClassfieldOps:
         assert code == 1
         assert "AlphaIsSquare" in err
 
+    @pytest.mark.parametrize("command", ["kappa", "ext-poly"])
+    def test_exceeded_budget_is_loud(self, capsys, command):
+        # 10P = 2*(5P), but halving it needs a factorization rho cannot finish
+        C = MordellCurve(-2)
+        P = C.scalar_mul(10, C.point(3, 5))
+        code, out, err = run(capsys, command, "2", "1", str(P.x), str(P.y))
+        assert code == 1 and out == ""
+        assert err.startswith("EffortExceeded: rho: ") and "of 500000 iterations" in err
+
     def test_table1(self, capsys):
         code, records, _ = run_json(capsys, "table1")
         assert code == 0
@@ -323,10 +332,11 @@ def test_table_row_field_is_a_usage_error(capsys, tmp_path, row, field):
     assert err.startswith("error: row 0 (m=1): ") and field in err.splitlines()[0]
 
 
-def test_negative_effort_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "--effort", "-5", "halve", "-2", "3", "5")
-    assert code == 2 and out == ""
-    assert err.startswith("error: --effort must be >= 0")
+def test_effort_is_an_unknown_flag(capsys):
+    for argv in (["--effort", "5", "halve", "-2", "3", "5"], ["halve", "-2", "3", "5", "--effort=5"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown flag --effort")
 
 
 @pytest.mark.parametrize("field, value", [("alpha_b_coeff_printed", [1]), ("expected_sextics", [[None]])])

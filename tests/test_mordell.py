@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from purecubic.errors import InvalidPoint
@@ -295,3 +295,40 @@ def test_halve_the_21_digit_rung():
     P3 = C.scalar_mul(3, affine(3, 5))
     assert P3 == affine(Fraction(164323, 29241), Fraction(-66234835, 5000211))
     assert C.halve(C.double(P3)) == {P3}
+
+
+# two primes whose 41-digit product Pollard rho cannot split within the default budget
+_P20, _Q20 = 10**20 + 39, 10**20 + 129
+
+
+@pytest.mark.parametrize("k, torsion_x", [(-_P20 * _Q20, None), (-(_P20 * _Q20) ** 3, _P20 * _Q20)],
+                         ids=["k=-pq", "k=-(pq)^3"])
+def test_two_torsion_needs_no_factoring(k, torsion_x):
+    C = MordellCurve(k)
+    expected = {INFINITY} if torsion_x is None else {INFINITY, C.point(torsion_x, 0)}
+    assert C.halve(INFINITY) == expected
+
+
+@given(st.builds(Fraction, st.integers(-1000, 1000).filter(lambda n: n != 0), st.integers(1, 1000)))
+@example(Fraction(1))
+@example(Fraction(-27, 8))
+@example(Fraction(2))
+@example(Fraction(8, 343))
+@settings(max_examples=200, deadline=None)
+def test_two_torsion_matches_brute_force(k):
+    # x^3 + k = 0 as kd*x^3 + kn; a root has height at most cbrt(1000) = 10
+    roots = brute_rational_roots((k.numerator, 0, 0, k.denominator), 10)
+    assert MordellCurve(k).two_torsion() == {affine(x, 0) for x in roots}
+
+
+_HALVING_K = (-2, -4, -26, -47, 1, 17, -432)
+
+
+@given(st.sampled_from(_HALVING_K), st.integers(0, 10**6), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_halving_commutes_with_negation(k, index, n):
+    # the fact that lets one halving decide both signs of y in is_square_binomial
+    C = MordellCurve(k)
+    points = C.search(2, 30)
+    P = C.scalar_mul(n, points[index % len(points)])
+    assert C.halve(-P) == {-Q for Q in C.halve(P)}
