@@ -47,11 +47,9 @@ from .errors import (
     FieldMismatch,
     InvalidPoint,
     NotBinomial,
-    PrecisionExceeded,
     ZeroElement,
 )
 from .field import (
-    DEFAULT_DIGITS,
     CubicElement,
     CubicField,
     binomial_minpoly,
@@ -67,7 +65,6 @@ __all__ = [
     "CubicElement",
     "CubicField",
     "CurvePoint",
-    "DEFAULT_DIGITS",
     "DEFAULT_EFFORT",
     "DomainError",
     "EffortExceeded",
@@ -79,7 +76,6 @@ __all__ = [
     "KappaReport",
     "MordellCurve",
     "NotBinomial",
-    "PrecisionExceeded",
     "Rat",
     "StarParts",
     "Table1Result",

@@ -13,6 +13,7 @@ positive denominator), re-exported as ``Rat``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -29,7 +30,8 @@ _TRIAL_BOUND = 10_000
 # Pollard rho steps per gcd of the product of differences.
 _RHO_BLOCK = 64
 
-# Strong-pseudoprime bases that make Miller-Rabin deterministic below
+# The first twelve primes: trial divisors of certified_prime, and the
+# strong-pseudoprime bases that make Miller-Rabin deterministic below
 # _CERTIFIED_BOUND (covers all 64-bit integers with a wide margin).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _CERTIFIED_BOUND = 3_317_044_064_679_887_385_961_981
@@ -61,7 +63,7 @@ def certified_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n == p:
             return True
         if n % p == 0:
@@ -287,7 +289,7 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def format(self, var: str = "x") -> str:
+    def format(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
@@ -300,7 +302,7 @@ class IntPoly:
                 body = str(mag)
             else:
                 head = "" if mag == 1 else str(mag)
-                body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
+                body = f"{head}x" if i == 1 else f"{head}x^{i}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -384,22 +386,19 @@ def _to_fraction_exact(x) -> Fraction:
     return Fraction(man, 1 << (-exp))
 
 
-def rational_reconstruct(approx, height_bound: int, tol: Fraction | None = None) -> Rat | None:
+def rational_reconstruct(approx, height_bound: int) -> Rat | None:
     """Recover a rational of bounded height from a real approximation.
 
     Walks the continued-fraction convergents of the (exact binary)
     value of ``approx`` and returns the last convergent p/q with
-    |p|, q <= height_bound lying within ``tol`` of it, or None. The
-    default tolerance is 2**-(prec//2) at the current mpmath working
-    precision; callers are expected to re-verify the result exactly.
+    |p|, q <= height_bound lying within 2**-(prec//2) of it at the
+    current mpmath working precision, or None; callers are expected to
+    re-verify the result exactly.
     """
-    target = _to_fraction_exact(approx)
-    if tol is None:
-        import mpmath as mp
+    import mpmath as mp
 
-        tol = Fraction(1, 1 << max(8, mp.mp.prec // 2))
-    else:
-        tol = _to_fraction_exact(tol)
+    target = _to_fraction_exact(approx)
+    tol = Fraction(1, 1 << max(8, mp.mp.prec // 2))
 
     best = None
     p0, q0 = 1, 0
@@ -420,16 +419,11 @@ def rational_reconstruct(approx, height_bound: int, tol: Fraction | None = None)
     return best
 
 
-_RAT_RE = None
+_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 def parse_rat(text: str) -> Rat:
     """Parse 'p' or 'p/q' with arbitrary-precision integers; reject anything else."""
-    global _RAT_RE
-    if _RAT_RE is None:
-        import re
-
-        _RAT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
-    if not _RAT_RE.match(text):
+    if not _RATIONAL.match(text):
         raise ValueError(f"not an exact rational: {text!r}")
     return Fraction(text)

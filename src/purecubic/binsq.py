@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import perfect_square_root
-from .errors import InvalidPoint, NotBinomial, ZeroElement
+from .errors import FieldMismatch, InvalidPoint, NotBinomial, ZeroElement
 from .field import CubicElement, CubicField
 from .mordell import INFINITY, CurvePoint, MordellCurve
 
@@ -75,11 +75,12 @@ def elem_from_point(field: CubicField, b, P: CurvePoint) -> BinomialSquareWitnes
 def point_from_elem(field: CubicField, alpha: CubicElement) -> BinomialSquareWitness:
     """The point attached to an element whose square is binomial.
 
-    Raises NotBinomial unless 2rt + s^2 = 0. Rational alpha is the
-    trivial case and maps to the point at infinity with b = 0.
+    Raises FieldMismatch if alpha lies in another field, and NotBinomial
+    unless 2rt + s^2 = 0. Rational alpha is the trivial case and maps to
+    the point at infinity with b = 0.
     """
     if alpha.field != field:
-        raise NotBinomial("element belongs to a different field")
+        raise FieldMismatch(f"{alpha.field} != {field}")
     if alpha.is_zero():
         raise ZeroElement("0 is not in the multiplicative group")
     r, s, t = alpha.components()

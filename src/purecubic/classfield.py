@@ -42,7 +42,7 @@ class KappaReport:
     e: int
     alpha: CubicElement
     norm: Fraction
-    norm_sqrt: Fraction | None
+    norm_sqrt: Fraction
     eligible_mod9: bool
     gcd_ab_ok: bool
     two_divides_e: bool
@@ -55,10 +55,10 @@ class KappaReport:
 def kappa_element(m: int, b: int, P: CurvePoint) -> KappaReport:
     """Build the report for a point on y^2 = x^3 - m*b^3.
 
-    The norm is asserted to be the square of y*e^3; eligibility flags
-    are computed but never enforced. already_square comes from an exact
-    halving of P; when that halving cannot finish, EffortExceeded
-    propagates rather than leaving the question open.
+    The norm is asserted to be the square of norm_sqrt = |y|*e^3;
+    eligibility flags are computed but never enforced. already_square
+    comes from an exact halving of P; when that halving cannot finish,
+    EffortExceeded propagates rather than leaving the question open.
     """
     if b == 0:
         raise ValueError("twist scale b must be nonzero")
@@ -71,8 +71,8 @@ def kappa_element(m: int, b: int, P: CurvePoint) -> KappaReport:
     a, e = x_as_a_over_e2(P.x)
     alpha = field.element(a, -b * e * e, 0)
     norm = Fraction(a**3 - m * b**3 * e**6)
-    assert norm == (P.y * e**3) ** 2, "norm must equal (y*e^3)^2 for on-curve points"
-    norm_sqrt = perfect_square_root(norm)
+    norm_sqrt = abs(P.y) * e**3
+    assert norm == norm_sqrt**2, "norm must equal (y*e^3)^2 for on-curve points"
     sextic = IntPoly((-int(norm), 0, 3 * a * a, 0, -3 * a, 0, 1))
     return KappaReport(
         m=m,
@@ -260,7 +260,7 @@ def table1_verify(path: str | None = None) -> Table1Result:
                 on_curve=True,
                 alpha_match=alpha_match,
                 printed_alpha_match=printed_alpha_match,
-                norm_square=report.norm_sqrt is not None,
+                norm_square=report.norm_sqrt**2 == report.norm,
                 flags_match=flags_match,
                 sextic_match=sextic_match,
                 note=raw.get("note"),

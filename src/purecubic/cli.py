@@ -202,13 +202,12 @@ def _kappa(opts, m, b, P):
         "e": str(r.e),
         "alpha": _elem_rec(r.alpha),
         "norm": str(r.norm),
-        "norm_sqrt": str(r.norm_sqrt) if r.norm_sqrt is not None else None,
+        "norm_sqrt": str(r.norm_sqrt),
         **flags,
         "sextic": [str(c) for c in r.sextic.coeffs],
     }
     flag_lines = (" ".join(f"{f}={flags[f]}" for f in group) for group in _KAPPA_FLAGS)
-    norm_sqrt = f" = ({r.norm_sqrt})^2" if r.norm_sqrt is not None else ""
-    return rec, "\n".join([f"alpha = {r.alpha}", f"norm = {r.norm}{norm_sqrt}", *flag_lines])
+    return rec, "\n".join([f"alpha = {r.alpha}", f"norm = {r.norm} = ({r.norm_sqrt})^2", *flag_lines])
 
 
 def _ext_poly(opts, m, b, P):

@@ -17,10 +17,6 @@ class EffortExceeded(DomainError):
     """
 
 
-class PrecisionExceeded(DomainError):
-    """A numeric reconstruction needed more working precision than configured."""
-
-
 class FieldMismatch(DomainError):
     """Two elements of different cubic fields were combined."""
 

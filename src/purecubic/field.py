@@ -5,24 +5,18 @@ Besides ring arithmetic, norm and trace, this module provides a verified
 general square root: candidate roots are produced numerically from the
 three embeddings of the field and reconstructed coordinate-wise as
 rationals, then every candidate is confirmed by exact squaring before it
-is returned. A wrong numeric guess can therefore only cause a miss,
-never a wrong answer.
+is returned. The working precision follows from the height of the input,
+so no input is refused for want of precision. A wrong numeric guess can
+therefore only cause a miss, never a wrong answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .arith import IntPoly, cubefree_and_noncube, perfect_square_root, rational_reconstruct
-from .errors import FieldMismatch, PrecisionExceeded
-
-if TYPE_CHECKING:
-    import mpmath as mp
-
-#: Default working precision (decimal digits) for embedding computations.
-DEFAULT_DIGITS = 256
+from .errors import FieldMismatch
 
 
 @dataclass(frozen=True)
@@ -50,14 +44,6 @@ class CubicField:
     @property
     def omega(self) -> "CubicElement":
         return self.element(0, 1)
-
-    def real_root(self) -> mp.mpf:
-        """The real embedding of w at the current mpmath precision."""
-        import mpmath as mp
-
-        if self.m >= 0:
-            return mp.cbrt(mp.mpf(self.m))
-        return -mp.cbrt(mp.mpf(-self.m))
 
     def __str__(self):
         return f"Q(cbrt({self.m}))"
@@ -152,17 +138,6 @@ class CubicElement:
         """The sign flip s -> -s; preserves having a binomial square."""
         return CubicElement(self.field, self.r, -self.s, self.t)
 
-    def embed(self) -> mp.mpf:
-        """Real embedding at the current mpmath precision."""
-        import mpmath as mp
-
-        w = self.field.real_root()
-        return (
-            mp.mpf(self.r.numerator) / self.r.denominator
-            + mp.mpf(self.s.numerator) / self.s.denominator * w
-            + mp.mpf(self.t.numerator) / self.t.denominator * w * w
-        )
-
     def sign_of_embedding(self) -> int:
         """Sign of the real embedding of a nonzero element.
 
@@ -187,49 +162,40 @@ class CubicElement:
         return f"{body} (w = cbrt({self.field.m}))"
 
 
-def sqrt_in_field(
-    beta: CubicElement,
-    digits: int = DEFAULT_DIGITS,
-    height_bound: int | None = None,
-) -> CubicElement | None:
+def sqrt_in_field(beta: CubicElement, digits: int = 256) -> CubicElement | None:
     """An exact square root of beta in its field, or None.
 
     The root is found by taking square roots of the three embeddings of
     beta (two essentially different sign choices), solving the linear
     system back to (r, s, t) coordinates, reconstructing each coordinate
-    as a bounded-height rational, and verifying gamma^2 = beta exactly.
-    Returns the root with positive real embedding. On reconstruction
-    failure the computation is retried once at four times the precision;
-    if the precision is still too small for the height bound,
-    PrecisionExceeded is raised instead of answering "not a square".
+    as a rational of height at most h^2 * 2^24, where h is the height of
+    beta, and verifying gamma^2 = beta exactly. Returns the root with
+    positive real embedding. The working precision is the larger of
+    ``digits`` and the 2*len(str(height bound)) + 24 decimal digits that
+    make the reconstruction unique at that height; on reconstruction
+    failure the computation is retried once at four times the precision.
     """
     if beta.is_zero():
         return beta
     if beta.is_rational():
         root = perfect_square_root(beta.r)
         return beta.field.element(root) if root is not None else None
-    if height_bound is None:
-        h = max(max(abs(c.numerator), c.denominator) for c in beta.components())
-        height_bound = h * h * (1 << 24)
-    # digits of precision needed for convergent uniqueness at this height
-    needed = 2 * len(str(height_bound)) + 24
-
-    for dps in (digits, 4 * digits):
-        gamma = _sqrt_attempt(beta, dps, height_bound)
+    h = max(max(abs(c.numerator), c.denominator) for c in beta.components())
+    height_bound = h * h * (1 << 24)
+    dps = max(digits, 2 * len(str(height_bound)) + 24)
+    for precision in (dps, 4 * dps):
+        gamma = _sqrt_attempt(beta, precision, height_bound)
         if gamma is not None:
             return gamma
-    if 4 * digits < needed:
-        raise PrecisionExceeded(
-            f"height bound {height_bound} needs about {needed} digits, have {4 * digits}"
-        )
     return None
 
 
 def _sqrt_attempt(beta: CubicElement, dps: int, height_bound: int) -> CubicElement | None:
     import mpmath as mp
 
+    m = beta.field.m
     with mp.workdps(dps):
-        w = beta.field.real_root()
+        w = mp.cbrt(mp.mpf(m)) if m > 0 else -mp.cbrt(mp.mpf(-m))  # the real embedding of w
         zeta = mp.expjpi(mp.mpf(2) / 3)  # primitive cube root of unity
         r, s, t = (mp.mpf(c.numerator) / c.denominator for c in beta.components())
         e_real = r + s * w + t * w * w

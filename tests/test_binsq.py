@@ -12,7 +12,7 @@ from purecubic.binsq import (
     star,
     star_parts,
 )
-from purecubic.errors import InvalidPoint, NotBinomial, ZeroElement
+from purecubic.errors import FieldMismatch, InvalidPoint, NotBinomial, ZeroElement
 from purecubic.field import CubicField, sqrt_in_field
 from purecubic.mordell import INFINITY, MordellCurve, affine
 
@@ -86,6 +86,11 @@ class TestPointFromElem:
     def test_zero_element(self):
         with pytest.raises(ZeroElement):
             point_from_elem(F2, F2.element(0))
+
+    def test_element_of_another_field(self):
+        # a binomial-square element of Q(cbrt(20)), asked for on the curve of Q(cbrt(2))
+        with pytest.raises(FieldMismatch):
+            point_from_elem(F2, F20.element(1, 1, Fraction(-1, 2)))
 
     @pytest.mark.parametrize("c", [1, 2, 3, Fraction(1, 2), Fraction(-3, 2)])
     def test_roundtrip_through_square_twists(self, c):
@@ -223,6 +228,12 @@ class TestStar:
     def test_not_binomial_rejected(self):
         with pytest.raises(NotBinomial):
             star(F2.element(1, 1, 1), F2.one)
+
+    def test_operands_of_different_fields_rejected(self):
+        a1 = elem_from_point(F2, 1, affine(3, 5)).alpha
+        a2 = elem_from_point(F26, 1, affine(3, 1)).alpha
+        with pytest.raises(FieldMismatch):
+            star(a1, a2)
 
 
 class TestIsSquareBinomial:

@@ -113,7 +113,8 @@ class TestSqrtExtMinpoly:
 
         r = kappa(113, 3, Fraction(97, 4), Fraction(847, 8))
         with mp.workdps(60):
-            alpha_num = r.alpha.embed()
+            # alpha = a - b*e^2*w at the real embedding of w = cbrt(113)
+            alpha_num = r.a - r.b * r.e**2 * mp.cbrt(113)
             root = mp.sqrt(alpha_num)
             val = r.sextic(root)
             assert abs(val) < mp.mpf(10) ** -40

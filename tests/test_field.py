@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from purecubic.arith import icbrt
-from purecubic.errors import FieldMismatch, PrecisionExceeded
+from purecubic.errors import FieldMismatch
 from purecubic.field import CubicField, binomial_minpoly, sqrt_in_field
 
 from helpers import naive_elem_square
@@ -157,11 +157,19 @@ class TestSqrtInField:
         got = sqrt_in_field(beta)
         assert got is not None and got * got == beta
 
-    def test_precision_exceeded(self):
+    def test_precision_follows_the_height(self):
+        # digits is only a lower bound: 20 digits cannot hold this root, the derived precision can
         big = 10**60 + 3
         gamma = F2.element(big, big + 1, Fraction(1, big))
-        with pytest.raises(PrecisionExceeded):
-            sqrt_in_field(gamma * gamma, digits=20)
+        got = sqrt_in_field(gamma * gamma, digits=20)
+        assert got is not None and got * got == gamma * gamma
+
+    def test_130_digit_coefficients_at_the_default_digits(self):
+        big = 10**130 + 7
+        gamma = CubicField(7).element(big, Fraction(3, big), big + 2)
+        beta = gamma * gamma
+        got = sqrt_in_field(beta)
+        assert got is not None and got * got == beta
 
     def test_roundtrip_random(self):
         import random
