@@ -368,55 +368,51 @@ def _divides(d: int, n: int) -> bool:
     return n % d == 0 if d else n == 0
 
 
-def _to_fraction_exact(x) -> Fraction:
-    """Exact Fraction value of a binary float / mpf / int / Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _exact_binary(x) -> tuple[int, int]:
+    """(n, d) with d > 0 and n/d the exact value of a finite binary float,
+    mpf, int or Fraction."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     import mpmath as mp
 
     v = mp.mpf(x)
+    if not mp.isfinite(v):
+        raise ValueError(f"no rational value: {x}")
     sign, man, exp, _ = v._mpf_
-    man = int(man)
-    if sign:
-        man = -man
+    man = -int(man) if sign else int(man)
     if exp >= 0:
-        return Fraction(man * (1 << exp))
-    return Fraction(man, 1 << (-exp))
+        return man << exp, 1
+    return man, 1 << -exp
 
 
 def rational_reconstruct(approx, height_bound: int) -> Rat | None:
     """Recover a rational of bounded height from a real approximation.
 
-    Walks the continued-fraction convergents of the (exact binary)
-    value of ``approx`` and returns the last convergent p/q with
-    |p|, q <= height_bound lying within 2**-(prec//2) of it at the
-    current mpmath working precision, or None; callers are expected to
-    re-verify the result exactly.
+    Walks the continued fraction of the exact binary value tn/td of
+    ``approx`` on integers: Euclid's ``divmod`` gives the partial
+    quotients a, and p = a*p' + p'', q = a*q' + q'' the convergents.
+    Returns the last convergent p/q with |p|, q <= height_bound lying
+    within 2**-tbits of tn/td, tbits = max(8, prec // 2) at the current
+    mpmath working precision (tested as |tn*q - p*td| * 2**tbits <=
+    td*q), or None; callers are expected to re-verify the result
+    exactly. Raises ValueError for an infinite or NaN ``approx``.
     """
     import mpmath as mp
 
-    target = _to_fraction_exact(approx)
-    tol = Fraction(1, 1 << max(8, mp.mp.prec // 2))
-
+    tn, td = _exact_binary(approx)
+    tbits = max(8, mp.mp.prec // 2)
     best = None
-    p0, q0 = 1, 0
-    rem = target
-    a = rem.numerator // rem.denominator
-    p1, q1 = a, 1
-    while True:
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = tn, td
+    while d:
+        a, rem = divmod(n, d)
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
         if abs(p1) > height_bound or q1 > height_bound:
             break
-        if abs(target - Fraction(p1, q1)) <= tol:
-            best = Fraction(p1, q1)
-        rem -= a
-        if rem == 0:
-            break
-        rem = 1 / rem
-        a = rem.numerator // rem.denominator
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-    return best
+        if abs(tn * q1 - p1 * td) << tbits <= td * q1:
+            best = p1, q1
+        n, d = d, rem
+    return None if best is None else Fraction(*best)
 
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")

@@ -2,12 +2,14 @@
 
 Elements are stored on the basis (1, w, w^2) with rational coordinates.
 Besides ring arithmetic, norm and trace, this module provides a verified
-general square root: candidate roots are produced numerically from the
-three embeddings of the field and reconstructed coordinate-wise as
-rationals, then every candidate is confirmed by exact squaring before it
-is returned. The working precision follows from the height of the input,
-so no input is refused for want of precision. A wrong numeric guess can
-therefore only cause a miss, never a wrong answer.
+general square root: an element whose norm is not a rational square is
+rejected exactly; for the others, candidate roots are produced
+numerically from the three embeddings of the field and reconstructed
+coordinate-wise as rationals, then every candidate is confirmed by exact
+squaring before it is returned. The working precision follows from the
+height of the input, so no input is refused for want of precision. A
+wrong numeric guess can therefore only cause a miss, never a wrong
+answer.
 """
 
 from __future__ import annotations
@@ -165,7 +167,9 @@ class CubicElement:
 def sqrt_in_field(beta: CubicElement, digits: int = 256) -> CubicElement | None:
     """An exact square root of beta in its field, or None.
 
-    The root is found by taking square roots of the three embeddings of
+    A beta whose norm is not the square of a rational answers None at
+    once, and that None is a proof: N(gamma^2) = N(gamma)^2. Otherwise
+    the root is found by taking square roots of the three embeddings of
     beta (two essentially different sign choices), solving the linear
     system back to (r, s, t) coordinates, reconstructing each coordinate
     as a rational of height at most h^2 * 2^24, where h is the height of
@@ -174,12 +178,17 @@ def sqrt_in_field(beta: CubicElement, digits: int = 256) -> CubicElement | None:
     ``digits`` and the 2*len(str(height bound)) + 24 decimal digits that
     make the reconstruction unique at that height; on reconstruction
     failure the computation is retried once at four times the precision.
+    A None from this numeric route only says that no root of height at
+    most h^2 * 2^24 was found: w in Q(cbrt(33554467^2)) is a square,
+    w = (w^2/33554467)^2, but its root lies above that bound.
     """
     if beta.is_zero():
         return beta
     if beta.is_rational():
         root = perfect_square_root(beta.r)
         return beta.field.element(root) if root is not None else None
+    if perfect_square_root(beta.norm()) is None:
+        return None
     h = max(max(abs(c.numerator), c.denominator) for c in beta.components())
     height_bound = h * h * (1 << 24)
     dps = max(digits, 2 * len(str(height_bound)) + 24)

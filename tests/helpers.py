@@ -94,3 +94,49 @@ def per_step_rho(n: int, budget: int) -> tuple[int | None, int]:
             return d, used
         c += 1
     return None, used
+
+
+def _to_fraction_exact(x) -> Fraction:
+    """Exact Fraction value of a binary float / mpf / int / Fraction."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    import mpmath as mp
+
+    v = mp.mpf(x)
+    sign, man, exp, _ = v._mpf_
+    man = int(man)
+    if sign:
+        man = -man
+    if exp >= 0:
+        return Fraction(man * (1 << exp))
+    return Fraction(man, 1 << (-exp))
+
+
+def fraction_reconstruct(approx, height_bound: int) -> Fraction | None:
+    """Continued-fraction reconstruction on Fraction values: the reference
+    that the integer walk of arith.rational_reconstruct must match, None
+    included. Finite input only."""
+    import mpmath as mp
+
+    target = _to_fraction_exact(approx)
+    tol = Fraction(1, 1 << max(8, mp.mp.prec // 2))
+
+    best = None
+    p0, q0 = 1, 0
+    rem = target
+    a = rem.numerator // rem.denominator
+    p1, q1 = a, 1
+    while True:
+        if abs(p1) > height_bound or q1 > height_bound:
+            break
+        if abs(target - Fraction(p1, q1)) <= tol:
+            best = Fraction(p1, q1)
+        rem -= a
+        if rem == 0:
+            break
+        rem = 1 / rem
+        a = rem.numerator // rem.denominator
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+    return best

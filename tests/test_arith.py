@@ -21,7 +21,7 @@ from purecubic.arith import (
 from purecubic.errors import EffortExceeded
 
 from helpers import brute_rational_roots, trial_factorize
-from helpers import per_step_rho
+from helpers import fraction_reconstruct, per_step_rho
 from purecubic.arith import _rho_split
 from purecubic.mordell import MordellCurve, affine
 
@@ -220,6 +220,39 @@ class TestRationalReconstruct:
             approx = mp.mpf(q.numerator) / q.denominator
             bound = max(abs(q.numerator), q.denominator, 1)
             assert rational_reconstruct(approx, bound) == q
+
+    @pytest.mark.parametrize("x", ["inf", "-inf", "nan"])
+    def test_not_finite_rejected(self, x):
+        import mpmath as mp
+
+        with pytest.raises(ValueError):
+            rational_reconstruct(mp.mpf(x), 10)
+        with pytest.raises(ValueError):
+            rational_reconstruct(float(x), 10)
+
+    @given(
+        st.sampled_from([15, 60, 256]),
+        st.integers(0, 40).flatmap(lambda e: st.integers(1, 10**e)),
+        st.integers(0, 40).flatmap(lambda e: st.integers(-(10**e), 10**e)),
+        st.integers(0, 40).flatmap(lambda e: st.integers(1, 10**e)),
+        st.sampled_from(["int", "fraction", "mpf", "near"]),
+        st.integers(-24, 24),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_integer_walk_matches_the_fraction_walk(self, dps, bound, n, d, kind, j):
+        import mpmath as mp
+
+        with mp.workdps(dps):
+            if kind == "int":
+                x = n
+            elif kind == "fraction":
+                x = Fraction(n, d)
+            else:
+                x = mp.mpf(n) / d
+                if kind == "near":
+                    # j/8 of the acceptance radius 2^-(prec//2) away from n/d
+                    x += mp.ldexp(j, -(mp.mp.prec // 2) - 3)
+            assert rational_reconstruct(x, bound) == fraction_reconstruct(x, bound)
 
 
 class TestParseRat:

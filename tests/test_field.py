@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purecubic.arith import icbrt
+from purecubic.arith import icbrt, perfect_square_root
 from purecubic.errors import FieldMismatch
+from purecubic import field
 from purecubic.field import CubicField, binomial_minpoly, sqrt_in_field
 
 from helpers import naive_elem_square
@@ -188,6 +189,36 @@ class TestSqrtInField:
             assert got is not None
             assert got in (gamma, -gamma)
             assert got * got == beta
+
+
+class TestNormTest:
+    """A non-square norm is a proof: N(d*gamma^2) = d^3 N(gamma)^2."""
+
+    fields = st.sampled_from([2, 3, 26, -2, -7, 113, 33554467**2]).map(CubicField)
+    elements = st.tuples(fields, rats, rats, rats).map(lambda f: f[0].element(*f[1:]))
+    nonsquares = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30)).filter(
+        lambda d: d != 0 and perfect_square_root(d) is None
+    )
+
+    @given(elements, nonsquares)
+    @settings(max_examples=150, deadline=None)
+    def test_nonsquare_norm_needs_no_numeric_attempt(self, gamma, d):
+        if gamma.is_zero():
+            return
+
+        def numeric_attempt(*args):
+            raise AssertionError("numeric attempt on a non-square norm")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(field, "_sqrt_attempt", numeric_attempt)
+            assert sqrt_in_field(d * gamma * gamma) is None
+
+    @given(elements)
+    @settings(max_examples=100, deadline=None)
+    def test_squares_still_found(self, gamma):
+        beta = gamma * gamma
+        got = sqrt_in_field(beta)
+        assert got is not None and got * got == beta
 
 
 class TestBinomialMinpoly:
