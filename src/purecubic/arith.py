@@ -72,8 +72,15 @@ def certified_prime(n: int) -> bool:
         if _miller_rabin_witness(n, a):
             return False
     if n >= _CERTIFIED_BOUND:
-        raise EffortExceeded(f"primality of {n} not certifiable at this size")
+        raise EffortExceeded(f"primality of an integer of {_decimal_digits(n)} digits not certifiable")
     return True
+
+
+def _decimal_digits(n: int) -> int:
+    """How many decimal digits n > 0 has, counted without str(n), which is limited in size."""
+    # 1292913986 / 2^32 is log10(2) rounded down, so 10^(d-1) <= 2^(bits-1) <= n
+    d = ((n.bit_length() - 1) * 1292913986 >> 32) + 1
+    return d + (n >= 10**d)
 
 
 def _rho_split(n: int, budget: int) -> tuple[int | None, int]:
@@ -193,7 +200,7 @@ def factorize(n: int, effort_bound: int = DEFAULT_EFFORT) -> Factorization:
         if f is None:
             raise EffortExceeded(
                 f"rho: {effort_bound - budget} of {effort_bound} iterations, "
-                f"cofactor of {len(str(c))} digits"
+                f"cofactor of {_decimal_digits(c)} digits"
             )
         stack.append(f)
         stack.append(c // f)
@@ -415,11 +422,11 @@ def rational_reconstruct(approx, height_bound: int) -> Rat | None:
     return None if best is None else Fraction(*best)
 
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
 def parse_rat(text: str) -> Rat:
     """Parse 'p' or 'p/q' with arbitrary-precision integers; reject anything else."""
-    if not _RATIONAL.match(text):
+    if not _RATIONAL.fullmatch(text):
         raise ValueError(f"not an exact rational: {text!r}")
     return Fraction(text)

@@ -3,7 +3,8 @@ as 'p/q' strings, never as floating point.
 
 The argument grammar is parsed by hand because positional arguments are
 frequently negative rationals ('-383/1000'), which standard option
-parsers mistake for flags. Flags may appear anywhere:
+parsers mistake for flags. Flags may appear anywhere, and a flag's
+value may follow it as the next argument or after '=':
 
     --json             one self-describing JSON record per line
     --table PATH       alternate table1 dataset
@@ -57,29 +58,23 @@ class UsageError(Exception):
 def _parse_argv(argv: list[str]):
     opts = {"json": False, "table": None, "e_bound": None, "a_bound": None}
     positional: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--json":
-            opts["json"] = True
-        elif tok in ("--e-bound", "--a-bound", "--table"):
-            if i + 1 >= len(argv):
-                raise UsageError(f"{tok} needs a value")
-            val = argv[i + 1]
-            i += 1
-            key = tok[2:].replace("-", "_")
-            opts[key] = val if key == "table" else int(val)
-        elif tok.startswith("--") and "=" in tok:
-            name, val = tok[2:].split("=", 1)
-            key = name.replace("-", "_")
-            if key not in opts:
-                raise UsageError(f"unknown flag --{name}")
-            opts[key] = val if key == "table" else (val == "true" if key == "json" else int(val))
-        elif tok.startswith("--"):
-            raise UsageError(f"unknown flag {tok}")
-        else:
+    tokens = iter(argv)
+    for tok in tokens:
+        name, eq, val = tok[2:].partition("=")
+        if not tok.startswith("--"):
             positional.append(tok)
-        i += 1
+        elif name not in ("json", "table", "e-bound", "a-bound"):
+            raise UsageError(f"unknown flag --{name}")
+        elif name == "json":
+            if eq:
+                raise UsageError("--json takes no value")
+            opts["json"] = True
+        else:
+            if not eq:
+                val = next(tokens, None)
+                if val is None:
+                    raise UsageError(f"--{name} needs a value")
+            opts[name.replace("-", "_")] = val if name == "table" else _parse_args("i", [val])[0]
     if not positional:
         raise UsageError("no command given")
     return positional[0], positional[1:], opts

@@ -3,13 +3,12 @@
 Elements are stored on the basis (1, w, w^2) with rational coordinates.
 Besides ring arithmetic, norm and trace, this module provides a verified
 general square root: an element whose norm is not a rational square is
-rejected exactly; for the others, candidate roots are produced
-numerically from the three embeddings of the field and reconstructed
-coordinate-wise as rationals, then every candidate is confirmed by exact
-squaring before it is returned. The working precision follows from the
-height of the input, so no input is refused for want of precision. A
-wrong numeric guess can therefore only cause a miss, never a wrong
-answer.
+rejected exactly; for the others, one numeric attempt, at a precision in
+bits worked out from the height of the input and from m, produces
+candidate roots from the three embeddings of the field and reconstructs
+them coordinate-wise as rationals. Every candidate is confirmed by exact
+squaring before it is returned, so a wrong numeric guess can only cause
+a miss, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -169,18 +168,23 @@ def sqrt_in_field(beta: CubicElement, digits: int = 256) -> CubicElement | None:
 
     A beta whose norm is not the square of a rational answers None at
     once, and that None is a proof: N(gamma^2) = N(gamma)^2. Otherwise
-    the root is found by taking square roots of the three embeddings of
-    beta (two essentially different sign choices), solving the linear
-    system back to (r, s, t) coordinates, reconstructing each coordinate
-    as a rational of height at most h^2 * 2^24, where h is the height of
-    beta, and verifying gamma^2 = beta exactly. Returns the root with
-    positive real embedding. The working precision is the larger of
-    ``digits`` and the 2*len(str(height bound)) + 24 decimal digits that
-    make the reconstruction unique at that height; on reconstruction
-    failure the computation is retried once at four times the precision.
-    A None from this numeric route only says that no root of height at
-    most h^2 * 2^24 was found: w in Q(cbrt(33554467^2)) is a square,
-    w = (w^2/33554467)^2, but its root lies above that bound.
+    one numeric attempt takes square roots of the three embeddings of
+    beta (two essentially different sign choices), solves back to
+    (r, s, t) coordinates, reconstructs each as a rational of height at
+    most H = h^2 * 2^24 (h the height of beta) and verifies gamma^2 =
+    beta exactly. Returns the root with positive real embedding.
+    ``digits`` is accepted and ignored.
+
+    The precision, prec = 2*bits(H) + bits(h) + 2*bits(m)//3 + 80 bits,
+    puts each coordinate within about |g| * 2^-prec of its value, where
+    |g| <= sqrt(3h) * |m|^(1/3) bounds the embeddings of the root (the
+    middle terms bound |g|^2, leaving a factor |g| to spare). That error
+    is below 1/(2H^2), so a coordinate p/q with |p|, q <= H is a
+    convergent whose successor lies past H, and below the 2^-(prec//2)
+    that ``rational_reconstruct`` accepts, so the walk returns it. A None
+    on a square norm therefore means that no root has coordinates of
+    height at most H: w in Q(cbrt(33554467^2)) is a square, w =
+    (w^2/33554467)^2, but its root lies above that bound.
     """
     if beta.is_zero():
         return beta
@@ -190,28 +194,22 @@ def sqrt_in_field(beta: CubicElement, digits: int = 256) -> CubicElement | None:
     if perfect_square_root(beta.norm()) is None:
         return None
     h = max(max(abs(c.numerator), c.denominator) for c in beta.components())
-    height_bound = h * h * (1 << 24)
-    dps = max(digits, 2 * len(str(height_bound)) + 24)
-    for precision in (dps, 4 * dps):
-        gamma = _sqrt_attempt(beta, precision, height_bound)
-        if gamma is not None:
-            return gamma
-    return None
+    height_bound = h * h << 24
+    prec = 2 * height_bound.bit_length() + h.bit_length() + 2 * abs(beta.field.m).bit_length() // 3 + 80
+    return _sqrt_attempt(beta, prec, height_bound)
 
 
-def _sqrt_attempt(beta: CubicElement, dps: int, height_bound: int) -> CubicElement | None:
+def _sqrt_attempt(beta: CubicElement, prec: int, height_bound: int) -> CubicElement | None:
     import mpmath as mp
 
     m = beta.field.m
-    with mp.workdps(dps):
+    with mp.workprec(prec):
         w = mp.cbrt(mp.mpf(m)) if m > 0 else -mp.cbrt(mp.mpf(-m))  # the real embedding of w
         zeta = mp.expjpi(mp.mpf(2) / 3)  # primitive cube root of unity
         r, s, t = (mp.mpf(c.numerator) / c.denominator for c in beta.components())
-        e_real = r + s * w + t * w * w
+        # the real embedding is positive: it has the sign of the norm, a nonzero square
+        g_real = mp.sqrt(r + s * w + t * w * w)
         e_cplx = r + s * w * zeta + t * w * w * zeta**2
-        if e_real < 0:
-            return None  # the field is real, so beta < 0 has no square root
-        g_real = mp.sqrt(e_real)
         for sign in (1, -1):
             g_cplx = sign * mp.sqrt(e_cplx)
             # invert the embedding matrix: conjugate coordinates come in

@@ -140,3 +140,61 @@ def fraction_reconstruct(approx, height_bound: int) -> Fraction | None:
         a = rem.numerator // rem.denominator
         p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
     return best
+
+
+def reference_sqrt_in_field(beta, digits: int = 256):
+    """The numeric square root with a 256-digit floor and a retry at four
+    times the precision: the reference that field.sqrt_in_field's single
+    attempt must match wherever this finds a root."""
+    from purecubic.arith import perfect_square_root
+
+    if beta.is_zero():
+        return beta
+    if beta.is_rational():
+        root = perfect_square_root(beta.r)
+        return beta.field.element(root) if root is not None else None
+    if perfect_square_root(beta.norm()) is None:
+        return None
+    h = max(max(abs(c.numerator), c.denominator) for c in beta.components())
+    height_bound = h * h * (1 << 24)
+    dps = max(digits, 2 * len(str(height_bound)) + 24)
+    for precision in (dps, 4 * dps):
+        gamma = _reference_sqrt_attempt(beta, precision, height_bound)
+        if gamma is not None:
+            return gamma
+    return None
+
+
+def _reference_sqrt_attempt(beta, dps: int, height_bound: int):
+    import mpmath as mp
+    from purecubic.arith import rational_reconstruct
+    from purecubic.field import CubicElement
+
+    m = beta.field.m
+    with mp.workdps(dps):
+        w = mp.cbrt(mp.mpf(m)) if m > 0 else -mp.cbrt(mp.mpf(-m))  # the real embedding of w
+        zeta = mp.expjpi(mp.mpf(2) / 3)  # primitive cube root of unity
+        r, s, t = (mp.mpf(c.numerator) / c.denominator for c in beta.components())
+        e_real = r + s * w + t * w * w
+        e_cplx = r + s * w * zeta + t * w * w * zeta**2
+        if e_real < 0:
+            return None  # the field is real, so beta < 0 has no square root
+        g_real = mp.sqrt(e_real)
+        for sign in (1, -1):
+            g_cplx = sign * mp.sqrt(e_cplx)
+            # invert the embedding matrix: conjugate coordinates come in
+            # a real + complex-pair pattern
+            rr = (g_real + 2 * mp.re(g_cplx)) / 3
+            ss = (g_real + 2 * mp.re(zeta**2 * g_cplx)) / (3 * w)
+            tt = (g_real + 2 * mp.re(zeta * g_cplx)) / (3 * w * w)
+            comps = []
+            for v in (rr, ss, tt):
+                c = rational_reconstruct(v, height_bound)
+                if c is None:
+                    break
+                comps.append(c)
+            else:
+                gamma = CubicElement(beta.field, *comps)
+                if gamma * gamma == beta:
+                    return gamma.positive_embedding()
+    return None

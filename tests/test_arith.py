@@ -22,7 +22,8 @@ from purecubic.errors import EffortExceeded
 
 from helpers import brute_rational_roots, trial_factorize
 from helpers import fraction_reconstruct, per_step_rho
-from purecubic.arith import _rho_split
+from purecubic import arith
+from purecubic.arith import _decimal_digits, _rho_split
 from purecubic.mordell import MordellCurve, affine
 
 
@@ -260,7 +261,7 @@ class TestParseRat:
     def test_ok(self, text, val):
         assert parse_rat(text) == val
 
-    @pytest.mark.parametrize("text", ["1.5", "3e2", "4/0", "1/-2", "", "x"])
+    @pytest.mark.parametrize("text", ["1.5", "3e2", "4/0", "1/-2", "", "x", "5\n", "1/2\n", "\u0663"])
     def test_rejected(self, text):
         with pytest.raises(ValueError):
             parse_rat(text)
@@ -289,6 +290,29 @@ def test_effort_exceeded_states_its_budget():
     p, q = 2**61 - 1, 2305843009213693967
     with pytest.raises(EffortExceeded, match=r"^rho: 10 of 10 iterations, cofactor of 37 digits$"):
         factorize(p * q, effort_bound=10)
+
+
+def test_effort_messages_count_digits_past_the_int_str_limit(monkeypatch):
+    n = 10**4400 + 1
+    cofactor = n
+    for p in sympy.primerange(2, 10_000):
+        while cofactor % p == 0:
+            cofactor //= p
+    digits = sympy.integer_log(cofactor, 10)[0] + 1
+    with monkeypatch.context() as patch:
+        patch.setattr(arith, "certified_prime", lambda c: False)
+        with pytest.raises(EffortExceeded, match=rf"^rho: 10 of 10 iterations, cofactor of {digits} digits$"):
+            factorize(n, effort_bound=10)
+    monkeypatch.setattr(arith, "_miller_rabin_witness", lambda c, a: False)
+    with pytest.raises(EffortExceeded, match=r"^primality of an integer of 4401 digits not certifiable$"):
+        certified_prime(n)
+
+
+@given(st.one_of(st.integers(1, 2**20000),
+                 st.builds(lambda k, j: 10**k + j, st.integers(1, 6000), st.integers(-1, 1))))
+@settings(max_examples=300, deadline=None)
+def test_decimal_digits(n):
+    assert _decimal_digits(n) == sympy.integer_log(n, 10)[0] + 1
 
 
 def _times_linear(coeffs: list[int], q: int, p: int) -> list[int]:

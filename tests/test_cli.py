@@ -86,6 +86,24 @@ class TestCurveOps:
         assert {"x": "3", "y": "1"} in points
         assert {"x": "35", "y": "-207"} in points
 
+    def test_search_bounds_after_equals(self, capsys):
+        equals = run(capsys, "search", "-26", "--e-bound=1", "--a-bound=40")
+        assert equals[0] == 0 and equals == run(capsys, "search", "-26", "--e-bound", "1", "--a-bound", "40")
+
+    @pytest.mark.parametrize("bound", [" 5", "1_0", "\u0663", "5\n", "1/2", "2.0"])
+    @pytest.mark.parametrize("form", ["separate", "equals"])
+    def test_search_bound_in_the_integer_grammar(self, capsys, bound, form):
+        flag = ["--e-bound", bound] if form == "separate" else [f"--e-bound={bound}"]
+        code, out, err = run(capsys, "search", "-26", *flag, "--a-bound", "40")
+        assert code == 2 and out == ""
+        assert err.startswith("error: not a")
+
+    @pytest.mark.parametrize("flag", ["--json=yes", "--json=true", "--json="])
+    def test_json_takes_no_value(self, capsys, flag):
+        code, out, err = run(capsys, flag, "norm", "2", "1", "1", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --json takes no value")
+
     def test_search_requires_bounds(self, capsys):
         code, _, err = run(capsys, "search", "-26")
         assert code == 2

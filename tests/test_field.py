@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +11,7 @@ from purecubic.errors import FieldMismatch
 from purecubic import field
 from purecubic.field import CubicField, binomial_minpoly, sqrt_in_field
 
-from helpers import naive_elem_square
+from helpers import naive_elem_square, reference_sqrt_in_field
 
 F2 = CubicField(2)
 F26 = CubicField(26)
@@ -159,7 +161,7 @@ class TestSqrtInField:
         assert got is not None and got * got == beta
 
     def test_precision_follows_the_height(self):
-        # digits is only a lower bound: 20 digits cannot hold this root, the derived precision can
+        # digits is ignored: the precision follows from the height, and 20 digits could not hold this root
         big = 10**60 + 3
         gamma = F2.element(big, big + 1, Fraction(1, big))
         got = sqrt_in_field(gamma * gamma, digits=20)
@@ -189,6 +191,43 @@ class TestSqrtInField:
             assert got is not None
             assert got in (gamma, -gamma)
             assert got * got == beta
+
+
+class TestOneAttempt:
+    """One numeric attempt, at a precision in bits worked out from beta and m."""
+
+    def test_m_of_2134_digits(self):
+        gamma = CubicField(prod(sympy.primerange(2, 5000))).element(1, 1)
+        assert sqrt_in_field(gamma * gamma) == gamma
+
+    def test_coordinate_above_the_int_str_limit(self):
+        gamma = F2.element(10**2200 + 1, 1)
+        assert sqrt_in_field(gamma * gamma) == gamma
+
+    def test_root_above_the_height_bound_takes_one_attempt(self):
+        calls, attempt = [], field._sqrt_attempt
+
+        def counted(*args):
+            calls.append(args)
+            return attempt(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(field, "_sqrt_attempt", counted)
+            assert sqrt_in_field(CubicField(33554467**2).omega) is None
+        assert len(calls) == 1
+
+    primorial = prod(sympy.primerange(2, 700))  # 290 digits
+    fields = st.sampled_from([2, 3, 7, 26, -2, -7, 113, -primorial, 33554467**2]).map(CubicField)
+    wide = st.builds(Fraction, st.integers(-(10**25), 10**25), st.integers(1, 10**25))
+    coords = st.one_of(rats, wide)
+
+    @given(fields, coords, coords, coords)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_retrying_reference(self, F, r, s, t):
+        beta = F.element(r, s, t) ** 2
+        expected = reference_sqrt_in_field(beta)
+        if expected is not None:
+            assert sqrt_in_field(beta) == expected
 
 
 class TestNormTest:
