@@ -162,8 +162,10 @@ def factorize(n: int, effort_bound: int = DEFAULT_EFFORT) -> Factorization:
     """Exact factorization of n != 0.
 
     Trial division up to a fixed bound, then Pollard rho on remaining
-    cofactors. Raises EffortExceeded if a cofactor cannot be split (or
-    certified prime) within the budget; never returns a pseudo-prime.
+    cofactors. effort_bound counts rho iterations only; the Miller-Rabin
+    test that certifies a cofactor prime is not bounded by it. Raises
+    EffortExceeded if a cofactor cannot be split within the budget or
+    certified prime; never returns a pseudo-prime.
     """
     if n == 0:
         raise ValueError("cannot factor 0")

@@ -8,14 +8,14 @@ binomial a - b*w exactly when 2rt + s^2 = 0. Nontrivial solutions
     (x, y)       ->  alpha = -x^2/2y + (b*x/y)*w + (b^2/y)*w^2,
                      alpha^2 = (x^4 + 8Mx)/(4y^2) - b*w,  M = m*b^3
 
-Negating alpha negates the point's y, so a square a - b*w pins alpha
-down only up to sign. Decision procedures here normalize their output
-to the root with positive real embedding; the raw maps above do not.
+Negating alpha negates the point's y, so a - b*w pins alpha down only
+up to sign. is_square_binomial returns the root with positive real
+embedding, -alpha(Q) for the halving preimage Q, since N(alpha(Q)) = -y(2Q).
 
-The induced product on these elements ("star") follows closed chord
-formulas whose sign convention matches the third collinear point, i.e.
-star(alpha1, alpha2) is the element of -(P1 + P2) under the standard
-group law. Identity cases keep their operand unchanged.
+2rt + s^2 = 0 alone proves that alpha's point is on its twist, so star
+checks each operand once and runs one chord: star(alpha1, alpha2) is the
+element of -(P1 + P2), the sign of star_parts' closed formulas (b = 1).
+A rational operand is the identity and leaves the other one unchanged.
 """
 
 from __future__ import annotations
@@ -52,24 +52,48 @@ class BinomialSquareWitness:
             raise InvalidPoint(f"{self.point} is not on {self.curve}")
 
 
+def _point(b: Fraction, alpha: CubicElement) -> CurvePoint:
+    """The point (b*s/t, b^2/t) of alpha, t != 0; unvalidated, see _binomial_b."""
+    return CurvePoint(b * alpha.s / alpha.t, b * b / alpha.t)
+
+
+def _alpha(field: CubicField, b: Fraction, P: CurvePoint) -> CubicElement:
+    """The element of an affine point P with y != 0 on y^2 = x^3 - m*b^3."""
+    x, y = P.x, P.y
+    return field.element(-x * x / (2 * y), b * x / y, b * b / y)
+
+
+def _binomial_b(field: CubicField, alpha: CubicElement) -> Fraction:
+    """The b of alpha^2 = a - b*w (0 exactly when alpha is rational), checked once.
+
+    Raises FieldMismatch, ZeroElement, or NotBinomial unless 2rt + s^2 = 0.
+    That check alone puts (x, y) = _point(b, alpha) on y^2 = x^3 - m*b^3:
+    y^2 - x^3 + m*b^3 = -(b/t)^3 * s*(2rt + s^2).
+    """
+    if alpha.field != field:
+        raise FieldMismatch(f"{alpha.field} != {field}")
+    if alpha.is_zero():
+        raise ZeroElement("0 is not in the multiplicative group")
+    r, s, t = alpha.components()
+    if 2 * r * t + s * s != 0:
+        raise NotBinomial(f"2rt + s^2 = {2 * r * t + s * s} != 0")
+    return -(2 * r * s + field.m * t * t)
+
+
 def elem_from_point(field: CubicField, b, P: CurvePoint) -> BinomialSquareWitness:
     """The element attached to an affine point of y^2 = x^3 - m*b^3."""
     b = Fraction(b)
-    if b == 0:
-        raise ValueError("twist scale b must be nonzero")
-    curve = MordellCurve.twist(field.m, b)
+    curve = MordellCurve.twist(field.m, b)  # ValueError for b = 0
     if P.is_infinity:
         raise InvalidPoint("the point at infinity maps to the trivial element")
     if not curve.contains(P):
         raise InvalidPoint(f"{P} is not on {curve}")
     x, y = P.x, P.y
-    if y == 0:
-        # cannot happen: m*b^3 is never a rational cube for cubefree non-cube m
+    if y == 0:  # cannot happen: m*b^3 is never a rational cube for cubefree non-cube m
         raise InvalidPoint("2-torsion points carry no binomial square")
-    alpha = field.element(-x * x / (2 * y), b * x / y, b * b / y)
     M = field.m * b**3
     a = (x**4 + 8 * M * x) / (4 * y * y)
-    return BinomialSquareWitness(field, b, alpha, a, P, curve)
+    return BinomialSquareWitness(field, b, _alpha(field, b, P), a, P, curve)
 
 
 def point_from_elem(field: CubicField, alpha: CubicElement) -> BinomialSquareWitness:
@@ -79,25 +103,12 @@ def point_from_elem(field: CubicField, alpha: CubicElement) -> BinomialSquareWit
     unless 2rt + s^2 = 0. Rational alpha is the trivial case and maps to
     the point at infinity with b = 0.
     """
-    if alpha.field != field:
-        raise FieldMismatch(f"{alpha.field} != {field}")
-    if alpha.is_zero():
-        raise ZeroElement("0 is not in the multiplicative group")
+    b = _binomial_b(field, alpha)
     r, s, t = alpha.components()
-    if 2 * r * t + s * s != 0:
-        raise NotBinomial(f"2rt + s^2 = {2 * r * t + s * s} != 0")
-    m = field.m
-    b = -(2 * r * s + m * t * t)
-    if t == 0:
-        # then s = 0 as well, so alpha is rational and alpha^2 = r^2
-        return BinomialSquareWitness(field, Fraction(0), alpha, r * r, INFINITY, None)
-    assert b != 0, "a non-rational element cannot have a rational square here"
-    x = b * s / t
-    y = b * b / t
-    a = r * r + 2 * m * s * t
-    curve = MordellCurve.twist(m, b)
-    point = curve.point(x, y)
-    return BinomialSquareWitness(field, b, alpha, a, point, curve)
+    if t == 0:  # then s = 0 as well, and alpha^2 = r^2
+        return BinomialSquareWitness(field, b, alpha, r * r, INFINITY, None)
+    curve = MordellCurve.twist(field.m, b)
+    return BinomialSquareWitness(field, b, alpha, r * r + 2 * field.m * s * t, _point(b, alpha), curve)
 
 
 @dataclass(frozen=True)
@@ -139,29 +150,24 @@ def star(alpha1: CubicElement, alpha2: CubicElement) -> CubicElement:
     """Product induced on binomial-square elements by point addition.
 
     Both operands must satisfy 2rt + s^2 = 0 and carry the same twist
-    scale b. The generic chord case with b = 1 uses the closed
-    formulas; everything else (identity, inverse pairs, tangent, and
-    b != 1) is routed through point addition with the matching sign
-    convention.
+    scale b. Each is checked once, by _binomial_b, which puts its point on
+    y^2 = x^3 - m*b^3; one chord (the tangent for equal operands) then
+    gives -(P1 + P2) and its element. A rational operand is the identity
+    and returns the other unchanged; alpha and -alpha give 1.
     """
     field = alpha1.field
-    w1 = point_from_elem(field, alpha1)
-    w2 = point_from_elem(field, alpha2)
-    if w1.point.is_infinity:
+    b = _binomial_b(field, alpha1)
+    b2 = _binomial_b(field, alpha2)
+    if alpha1.t == 0:
         return alpha2
-    if w2.point.is_infinity:
+    if alpha2.t == 0:
         return alpha1
-    if w1.b != w2.b:
-        raise NotBinomial(f"twist scales differ: {w1.b} vs {w2.b}")
-    P1, P2 = w1.point, w2.point
-    if P1 == -P2:
+    if b != b2:
+        raise NotBinomial(f"twist scales differ: {b} vs {b2}")
+    if alpha1 == -alpha2:
         return field.one
-    if P1.x != P2.x and w1.b == 1:
-        parts = star_parts(alpha1, alpha2)
-        return field.element(parts.r, parts.s, parts.t)
-    curve = w1.curve
-    total = curve.add(P1, P2)
-    return elem_from_point(field, w1.b, -total).alpha
+    curve = MordellCurve.twist(field.m, b)
+    return _alpha(field, b, -curve._chord(_point(b, alpha1), _point(b, alpha2)))
 
 
 def is_square_binomial(field: CubicField, a, b) -> CubicElement | None:
@@ -173,7 +179,9 @@ def is_square_binomial(field: CubicField, a, b) -> CubicElement | None:
     root directly. One halving settles both signs of y: the points are
     P and -P, and halve(-P) is the negation of halve(P), so either both
     are empty or neither is. Returns the root with positive real
-    embedding, or None.
+    embedding, or None: -alpha(Q) for the preimage Q = (x, y), because
+    N(alpha(Q)) = -(x^6 + 20kx^3 - 8k^2)/(8y^3) = -y(2Q) < 0, k = -m*b^3, by
+    the duplication formula, and the real embedding has the norm's sign.
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0 and b == 0:
@@ -187,7 +195,7 @@ def is_square_binomial(field: CubicField, a, b) -> CubicElement | None:
         return None
     curve = MordellCurve.twist(field.m, b)
     for Q in curve.halve(CurvePoint(a, y)):
-        return elem_from_point(field, b, Q).alpha.positive_embedding()
+        return -_alpha(field, b, Q)
     return None
 
 

@@ -158,7 +158,7 @@ def _to_point(opts, field, alpha):
 def _star(opts, field, a1, a2):
     product = star(a1, a2)
     rec = {"m": str(field.m), "result": _elem_rec(product)}
-    # star used its closed chord formulas: both squares are a - 1*w, and x = s/t differs
+    # star_parts' closed formulas, independent of star: both squares are a - 1*w and x = s/t differs
     if (a1 * a1).s == (a2 * a2).s == -1 and a1.s * a2.t != a2.s * a1.t:
         parts = star_parts(a1, a2)
         names = ("S_minus", "S_plus", "T_minus", "T_plus", "Sigma")

@@ -198,3 +198,31 @@ def _reference_sqrt_attempt(beta, dps: int, height_bound: int):
                 if gamma * gamma == beta:
                     return gamma.positive_embedding()
     return None
+
+
+def reference_star(alpha1, alpha2):
+    """The star product through witnesses: both operands to checked points,
+    the closed chord formulas for a generic b = 1 pair, curve.add and
+    elem_from_point otherwise. The reference that binsq.star, which runs
+    one chord on the coordinates, must match, exceptions included."""
+    from purecubic.binsq import elem_from_point, point_from_elem, star_parts
+    from purecubic.errors import NotBinomial
+
+    field = alpha1.field
+    w1 = point_from_elem(field, alpha1)
+    w2 = point_from_elem(field, alpha2)
+    if w1.point.is_infinity:
+        return alpha2
+    if w2.point.is_infinity:
+        return alpha1
+    if w1.b != w2.b:
+        raise NotBinomial(f"twist scales differ: {w1.b} vs {w2.b}")
+    P1, P2 = w1.point, w2.point
+    if P1 == -P2:
+        return field.one
+    if P1.x != P2.x and w1.b == 1:
+        parts = star_parts(alpha1, alpha2)
+        return field.element(parts.r, parts.s, parts.t)
+    curve = w1.curve
+    total = curve.add(P1, P2)
+    return elem_from_point(field, w1.b, -total).alpha

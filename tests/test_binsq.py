@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from purecubic import mordell
+from purecubic import binsq, mordell
 from purecubic.binsq import (
     elem_from_point,
     is_square_binomial,
@@ -13,8 +16,10 @@ from purecubic.binsq import (
     star_parts,
 )
 from purecubic.errors import FieldMismatch, InvalidPoint, NotBinomial, ZeroElement
-from purecubic.field import CubicField, sqrt_in_field
+from purecubic.field import CubicElement, CubicField, sqrt_in_field
 from purecubic.mordell import INFINITY, MordellCurve, affine
+
+from helpers import reference_star
 
 F2 = CubicField(2)
 F4 = CubicField(4)
@@ -347,3 +352,129 @@ class TestTorsionRemark:
             assert w.alpha.r == 0
             assert w.a == 0
             assert (w.alpha * w.alpha).components() == (0, -1, 0)
+
+
+# fields and twist scales of the star and sign-rule properties; every scale has points in some field
+PROPERTY_FIELDS = (2, 3, 7, 26, 113, -2, -7)
+PROPERTY_TWISTS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(-3))
+
+
+@cache
+def twist_points(m, b):
+    """Searched points of y^2 = x^3 - m*b^3, both signs of y."""
+    return tuple(MordellCurve.twist(m, b).search(9, 300))
+
+
+@cache
+def twist_elements(m, b):
+    """The elements of the searched points and of their doubles."""
+    C = MordellCurve.twist(m, b)
+    points = twist_points(m, b) + tuple(C.double(P) for P in twist_points(m, b))
+    return tuple(elem_from_point(CubicField(m), b, P).alpha for P in points)
+
+
+def outcome(f, a1, a2):
+    try:
+        return f(a1, a2)
+    except Exception as exc:  # the exception class is part of what must agree
+        return type(exc)
+
+
+def odd_operands(m):
+    """Operands beside a same-twist element: another twist, rational, zero, non-binomial, another field."""
+    K = CubicField(m)
+    others = [a for b in PROPERTY_TWISTS for a in twist_elements(m, b)]
+    rats = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+    not_binomial = st.tuples(rats, rats, rats).filter(lambda c: 2 * c[0] * c[2] + c[1] ** 2 != 0)
+    foreign = twist_elements(26 if m != 26 else 2, Fraction(1))
+    return st.one_of(
+        st.sampled_from(others),
+        rats.filter(bool).map(K.element),
+        st.just(K.element(0)),
+        not_binomial.map(lambda c: K.element(*c)),
+        st.sampled_from(foreign),
+    )
+
+
+class TestStarAgainstTheWitnessRoute:
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_star_matches_reference_star(self, data):
+        m = data.draw(st.sampled_from(PROPERTY_FIELDS))
+        pool = data.draw(st.sampled_from([p for p in (twist_elements(m, b) for b in PROPERTY_TWISTS) if p]))
+        a1 = data.draw(st.sampled_from(pool))
+        odd = odd_operands(m)
+        second = {"same twist": st.sampled_from(pool), "tangent": st.just(a1), "inverse": st.just(-a1),
+                  "odd": odd, "both odd": odd}
+        kind = data.draw(st.sampled_from(("same twist",) * 4 + ("tangent", "inverse", "odd", "odd", "both odd")))
+        a2 = data.draw(second[kind])
+        if kind == "both odd":
+            a1 = data.draw(odd)
+        if data.draw(st.booleans()):
+            a1, a2 = a2, a1
+        got = outcome(star, a1, a2)
+        assert got == outcome(reference_star, a1, a2)
+        if isinstance(got, type):
+            event(f"raises {got.__name__}")
+        else:
+            event("identity" if a1.t == 0 or a2.t == 0 else "inverse" if a1 == -a2
+                  else "tangent" if a1 == a2 else "chord")
+        generic_b1 = (
+            a1.field == a2.field and a1.t != 0 and a2.t != 0
+            and (a1 * a1).s == (a2 * a2).s == -1 and a1.s * a2.t != a2.s * a1.t
+        )
+        if generic_b1:
+            parts = star_parts(a1, a2)
+            assert got == a1.field.element(parts.r, parts.s, parts.t)
+
+    def test_every_twist_scale_has_points(self):
+        for b in PROPERTY_TWISTS:
+            assert any(twist_points(m, b) for m in PROPERTY_FIELDS), b
+
+
+class TestSignRule:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_norm_is_minus_y_of_the_double(self, data):
+        m = data.draw(st.sampled_from(PROPERTY_FIELDS))
+        b = data.draw(st.sampled_from([b for b in PROPERTY_TWISTS if twist_points(m, b)]))
+        Q = data.draw(st.sampled_from(twist_points(m, b)))
+        K = CubicField(m)
+        twoQ = MordellCurve.twist(m, b).double(Q)
+        alpha = elem_from_point(K, b, Q).alpha
+        assert alpha.norm() == -twoQ.y
+        assert is_square_binomial(K, twoQ.x, b) == alpha.positive_embedding()
+
+
+def test_star_and_square_decision_check_once(monkeypatch):
+    chord = (
+        F2.element(Fraction(9, 10), Fraction(-3, 5), Fraction(-1, 5)),
+        F2.element(Fraction(-16641, 7660), Fraction(1290, 383), Fraction(1000, 383)),
+    )
+    tangent = (chord[0], chord[0])
+    pool = twist_elements(7, Fraction(2))
+    twist2 = (pool[0], pool[2])  # -P and -2P, P = (18, 76) on y^2 = x^3 - 56
+    assert twist2[0] != -twist2[1] and twist2[0] != twist2[1]
+    expected = [reference_star(*pair) for pair in (chord, tangent, twist2)]
+    root = F4.element(-1, 1, Fraction(1, 2))
+
+    counts = {"witness": 0, "contains": 0, "norm": 0}
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(binsq.BinomialSquareWitness, "__post_init__",
+                        counting("witness", binsq.BinomialSquareWitness.__post_init__))
+    monkeypatch.setattr(MordellCurve, "contains", counting("contains", MordellCurve.contains))
+    monkeypatch.setattr(CubicElement, "norm", counting("norm", CubicElement.norm))
+
+    for pair, want in zip((chord, tangent, twist2), expected):
+        assert star(*pair) == want
+    assert counts["witness"] == counts["contains"] == 0
+
+    assert is_square_binomial(F4, 5, 1) == root
+    assert counts["witness"] == counts["norm"] == 0
+    assert counts["contains"] > 0  # halve still validates the point it halves

@@ -366,3 +366,21 @@ def test_table_row_check_field_is_a_usage_error(capsys, tmp_path, field, value):
     code, out, err = run(capsys, "table1", "--table", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: row 0 (m='11'): ") and field in err.splitlines()[0]
+
+
+def _readme_commands():
+    """The `purecubic ...` lines of README's CLI block, as argument lists."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("purecubic ")]
+
+
+def test_readme_examples(capsys):
+    commands = _readme_commands()
+    assert len(commands) == 12
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and not err, argv
+        code, records, err = run_json(capsys, *argv)
+        assert code == 0 and records and not err, argv
+        assert all(isinstance(r, dict) and "op" in r for r in records), argv
