@@ -7,97 +7,45 @@ point halving, the field arithmetic, the induced product on binomial
 square roots, a decision procedure for binomial squareness, and the
 construction of quadratic extensions (with unramifiedness flags) from
 curve points.
+
+``import purecubic`` loads no submodule. Each public name lives in the
+submodule that _EXPORTS gives for it; the first use of the name (or of
+the submodule, as ``purecubic.field``) imports that submodule and the
+ones it needs, and caches the name here (PEP 562).
 """
 
-from .arith import (
-    DEFAULT_EFFORT,
-    Factorization,
-    IntPoly,
-    Rat,
-    cubefree_and_noncube,
-    factorize,
-    perfect_square_root,
-    rational_reconstruct,
-    rational_roots,
-)
-from .binsq import (
-    BinomialSquareWitness,
-    StarParts,
-    elem_from_point,
-    is_square_binomial,
-    nonsquare_certificate,
-    point_from_elem,
-    star,
-    star_parts,
-)
-from .classfield import (
-    KappaReport,
-    Table1Result,
-    Table1Row,
-    kappa_element,
-    kappa_pairwise_distinct,
-    sqrt_ext_minpoly,
-    table1_verify,
-    unramified_conditions,
-)
-from .errors import (
-    AlphaIsSquare,
-    DomainError,
-    EffortExceeded,
-    FieldMismatch,
-    InvalidPoint,
-    NotBinomial,
-    ZeroElement,
-)
-from .field import (
-    CubicElement,
-    CubicField,
-    binomial_minpoly,
-    sqrt_in_field,
-)
-from .mordell import INFINITY, CurvePoint, MordellCurve, affine
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaIsSquare",
-    "BinomialSquareWitness",
-    "CubicElement",
-    "CubicField",
-    "CurvePoint",
-    "DEFAULT_EFFORT",
-    "DomainError",
-    "EffortExceeded",
-    "Factorization",
-    "FieldMismatch",
-    "INFINITY",
-    "IntPoly",
-    "InvalidPoint",
-    "KappaReport",
-    "MordellCurve",
-    "NotBinomial",
-    "Rat",
-    "StarParts",
-    "Table1Result",
-    "Table1Row",
-    "ZeroElement",
-    "affine",
-    "binomial_minpoly",
-    "cubefree_and_noncube",
-    "elem_from_point",
-    "factorize",
-    "is_square_binomial",
-    "kappa_element",
-    "kappa_pairwise_distinct",
-    "nonsquare_certificate",
-    "perfect_square_root",
-    "point_from_elem",
-    "rational_reconstruct",
-    "rational_roots",
-    "sqrt_ext_minpoly",
-    "sqrt_in_field",
-    "star",
-    "star_parts",
-    "table1_verify",
-    "unramified_conditions",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "arith": ("DEFAULT_EFFORT", "Factorization", "IntPoly", "Rat", "cubefree_and_noncube", "factorize",
+              "perfect_square_root", "rational_reconstruct", "rational_roots"),
+    "binsq": ("BinomialSquareWitness", "StarParts", "elem_from_point", "is_square_binomial",
+              "nonsquare_certificate", "point_from_elem", "star", "star_parts"),
+    "classfield": ("KappaReport", "Table1Result", "Table1Row", "kappa_element", "kappa_pairwise_distinct",
+                   "sqrt_ext_minpoly", "table1_verify", "unramified_conditions"),
+    "errors": ("AlphaIsSquare", "DomainError", "EffortExceeded", "FieldMismatch", "InvalidPoint",
+               "NotBinomial", "ZeroElement"),
+    "field": ("CubicElement", "CubicField", "binomial_minpoly", "sqrt_in_field"),
+    "mordell": ("INFINITY", "CurvePoint", "MordellCurve", "affine"),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

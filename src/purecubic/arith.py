@@ -14,13 +14,58 @@ positive denominator), re-exported as ``Rat``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import attrgetter
 
 from .errors import EffortExceeded
 
 Rat = Fraction
+
+# sets a field of a Value once, in its __init__, past Value.__setattr__
+_set = object.__setattr__
+
+
+class Value:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__``, in the order its
+    ``__init__`` takes them, and sets each once with ``_set``. Equality
+    and hashing use ``_key``, a C-level getter of those fields made once
+    per class; a value never equals an instance of another class. Repr,
+    copy and pickle rebuild from the fields through ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def _args(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._args()))
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._args()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
 
 #: Default budget for Pollard rho iterations in one factorize() call.
 DEFAULT_EFFORT = 500_000
@@ -134,12 +179,14 @@ def _rho_split(n: int, budget: int) -> tuple[int | None, int]:
     return None, used
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Value):
     """Signed prime factorization: sign * prod(p**e)."""
 
-    sign: int
-    prime_powers: tuple[tuple[int, int], ...]  # strictly increasing primes
+    __slots__ = ("sign", "prime_powers")
+
+    def __init__(self, sign: int, prime_powers: tuple[tuple[int, int], ...]):
+        _set(self, "sign", sign)
+        _set(self, "prime_powers", prime_powers)  # strictly increasing primes
 
     def value(self) -> int:
         v = self.sign
@@ -259,21 +306,20 @@ def cubefree_and_noncube(m: int) -> tuple[bool, bool]:
     return is_cubefree, is_cube
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(Value):
     """Univariate integer polynomial, coefficients ascending by degree.
 
     The zero polynomial has an empty coefficient tuple; otherwise the
     leading coefficient is nonzero.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        cs = tuple(int(c) for c in self.coeffs)
+    def __init__(self, coeffs):
+        cs = tuple(int(c) for c in coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        _set(self, "coeffs", cs)
 
     @classmethod
     def from_rationals(cls, coeffs) -> "IntPoly":

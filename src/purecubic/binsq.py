@@ -20,36 +20,32 @@ A rational operand is the identity and leaves the other one unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .arith import perfect_square_root
+from .arith import Value, _set, perfect_square_root
 from .errors import FieldMismatch, InvalidPoint, NotBinomial, ZeroElement
 from .field import CubicElement, CubicField
 from .mordell import INFINITY, CurvePoint, MordellCurve
 
 
-@dataclass(frozen=True)
-class BinomialSquareWitness:
+class BinomialSquareWitness(Value):
     """An element alpha with alpha^2 = a - b*w, tied to its curve point.
 
     For the trivial case (alpha rational, b = 0) the point is infinity
-    and there is no twist curve.
+    and there is no twist curve. Both facts are checked on construction.
     """
 
-    field: CubicField
-    b: Fraction
-    alpha: CubicElement
-    a: Fraction
-    point: CurvePoint
-    curve: MordellCurve | None
+    __slots__ = ("field", "b", "alpha", "a", "point", "curve")
 
-    def __post_init__(self):
-        binom = self.field.element(self.a, -self.b, 0)
-        if self.alpha * self.alpha != binom:
-            raise NotBinomial(f"{self.alpha} does not square to {self.a} - {self.b}*w")
-        if self.curve is not None and not self.curve.contains(self.point):
-            raise InvalidPoint(f"{self.point} is not on {self.curve}")
+    def __init__(self, field: CubicField, b: Fraction, alpha: CubicElement, a: Fraction,
+                 point: CurvePoint, curve: MordellCurve | None):
+        if alpha * alpha != field.element(a, -b, 0):
+            raise NotBinomial(f"{alpha} does not square to {a} - {b}*w")
+        if curve is not None and not curve.contains(point):
+            raise InvalidPoint(f"{point} is not on {curve}")
+        for name, value in zip(self.__slots__, (field, b, alpha, a, point, curve)):
+            _set(self, name, value)
 
 
 def _point(b: Fraction, alpha: CubicElement) -> CurvePoint:
@@ -77,7 +73,8 @@ def _binomial_b(field: CubicField, alpha: CubicElement) -> Fraction:
     r, s, t = alpha.components()
     if 2 * r * t + s * s != 0:
         raise NotBinomial(f"2rt + s^2 = {2 * r * t + s * s} != 0")
-    return -(2 * r * s + field.m * t * t)
+    # a Fraction even for int coordinates, so that _point divides exactly
+    return -Fraction(2 * r * s + field.m * t * t)
 
 
 def elem_from_point(field: CubicField, b, P: CurvePoint) -> BinomialSquareWitness:
@@ -111,8 +108,7 @@ def point_from_elem(field: CubicField, alpha: CubicElement) -> BinomialSquareWit
     return BinomialSquareWitness(field, b, alpha, r * r + 2 * field.m * s * t, _point(b, alpha), curve)
 
 
-@dataclass(frozen=True)
-class StarParts:
+class StarParts(NamedTuple):
     """Intermediates of the closed chord formulas for the star product."""
 
     s_minus: Fraction

@@ -20,10 +20,10 @@ table1_verify() checks the bundled reference dataset of such rows
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from math import gcd
+from typing import NamedTuple
 
 from .arith import IntPoly, perfect_cube_root, perfect_square_root
 from .errors import AlphaIsSquare, FieldMismatch, InvalidPoint
@@ -31,8 +31,7 @@ from .field import CubicElement, CubicField
 from .mordell import CurvePoint, MordellCurve, x_as_a_over_e2
 
 
-@dataclass(frozen=True)
-class KappaReport:
+class KappaReport(NamedTuple):
     """The element a - b*e^2*w attached to a curve point, with all checks."""
 
     m: int
@@ -100,7 +99,7 @@ def unramified_conditions(report: KappaReport) -> KappaReport:
         and report.two_divides_e
         and report.a_pos_1mod4
     )
-    return replace(report, claims_unramified=claims)
+    return report._replace(claims_unramified=claims)
 
 
 def sqrt_ext_minpoly(report: KappaReport) -> IntPoly:
@@ -133,8 +132,7 @@ def kappa_pairwise_distinct(reports: list[KappaReport]) -> bool:
 # -- Table 1 verification ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
     m: int
     field_m: int
     k: int
@@ -157,8 +155,7 @@ class Table1Row:
         return all(checks)
 
 
-@dataclass(frozen=True)
-class Table1Result:
+class Table1Result(NamedTuple):
     rows: tuple[Table1Row, ...]
 
     @property

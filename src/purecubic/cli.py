@@ -14,6 +14,9 @@ value may follow it as the next argument or after '=':
 Each command is one row of a table: a signature saying what its
 positional arguments are, and a handler that computes the answer as a
 JSON record and a line of text. One parser and one printer serve all.
+The module itself needs only arith and errors: _parse_args imports
+mordell or field for the values that need them, and each handler imports
+its own binsq or classfield names, so a command loads only its layers.
 
 Exit codes: 0 success, 1 domain error (error name on stderr), 2 usage.
 """
@@ -25,11 +28,7 @@ import json
 import sys
 
 from .arith import parse_rat
-from .binsq import elem_from_point, is_square_binomial, point_from_elem, star, star_parts
-from .classfield import kappa_element, sqrt_ext_minpoly, table1_verify, unramified_conditions
 from .errors import DomainError
-from .field import CubicElement, CubicField
-from .mordell import INFINITY, CurvePoint, MordellCurve
 
 USAGE = """usage: purecubic [--json] [--table PATH] COMMAND ARGS
 
@@ -98,15 +97,23 @@ def _parse_args(signature: str, args: list[str]) -> list:
             raise UsageError(f"missing {_KIND_NAMES[kind]}")
         toks, args = args[:n], args[n:]
         if kind == "k":
+            from .mordell import MordellCurve
+
             values.append(MordellCurve(parse_rat(toks[0])))
         elif kind in "mi":
             if "/" in toks[0]:
                 raise ValueError(f"not an integer: {toks[0]!r}")
             value = int(parse_rat(toks[0]))
-            values.append(CubicField(value) if kind == "m" else value)
+            if kind == "m":
+                from .field import CubicField
+
+                value = CubicField(value)
+            values.append(value)
         elif kind == "q":
             values.append(parse_rat(toks[0]))
         elif kind == "P":
+            from .mordell import INFINITY, CurvePoint
+
             values.append(INFINITY if toks == ["inf"] else CurvePoint(*map(parse_rat, toks)))
         else:
             values.append(values[0].element(*map(parse_rat, toks)))
@@ -115,17 +122,17 @@ def _parse_args(signature: str, args: list[str]) -> list:
     return values
 
 
-def _point_rec(P: CurvePoint):
+def _point_rec(P):
     if P.is_infinity:
         return "inf"
     return {"x": str(P.x), "y": str(P.y)}
 
 
-def _elem_rec(e: CubicElement):
+def _elem_rec(e):
     return {"r": str(e.r), "s": str(e.s), "t": str(e.t), "m": str(e.field.m)}
 
 
-def _curve_result(curve: MordellCurve, R: CurvePoint, **extra):
+def _curve_result(curve, R, **extra):
     return {"k": str(curve.k), **extra, "result": _point_rec(R)}, str(R)
 
 
@@ -144,18 +151,24 @@ def _search(opts, curve):
 
 
 def _from_point(opts, field, b, P):
+    from .binsq import elem_from_point
+
     w = elem_from_point(field, b, P)
     rec = {"m": str(field.m), "b": str(w.b), "alpha": _elem_rec(w.alpha), "a": str(w.a)}
     return rec, f"alpha = {w.alpha}\nalpha^2 = {w.a} - ({w.b})*w"
 
 
 def _to_point(opts, field, alpha):
+    from .binsq import point_from_elem
+
     w = point_from_elem(field, alpha)
     rec = {"m": str(field.m), "b": str(w.b), "a": str(w.a), "point": _point_rec(w.point)}
     return rec, f"{w.point} on y^2 = x^3 - ({field.m})*({w.b})^3   [alpha^2 = {w.a} - ({w.b})*w]"
 
 
 def _star(opts, field, a1, a2):
+    from .binsq import star, star_parts
+
     product = star(a1, a2)
     rec = {"m": str(field.m), "result": _elem_rec(product)}
     # star_parts' closed formulas, independent of star: both squares are a - 1*w and x = s/t differs
@@ -167,6 +180,8 @@ def _star(opts, field, a1, a2):
 
 
 def _square_test(opts, field, a, b):
+    from .binsq import is_square_binomial
+
     root = is_square_binomial(field, a, b)
     rec = {"m": str(field.m), "a": str(a), "b": str(b), "square": root is not None,
            "root": _elem_rec(root) if root is not None else None}
@@ -187,6 +202,8 @@ _KAPPA_FLAGS = (("eligible_mod9", "gcd_ab_ok", "two_divides_e", "a_pos_1mod4"),
 
 
 def _kappa(opts, m, b, P):
+    from .classfield import kappa_element, unramified_conditions
+
     r = unramified_conditions(kappa_element(m, b, P))
     flags = {f: getattr(r, f) for group in _KAPPA_FLAGS for f in group}
     rec = {
@@ -206,6 +223,8 @@ def _kappa(opts, m, b, P):
 
 
 def _ext_poly(opts, m, b, P):
+    from .classfield import kappa_element, sqrt_ext_minpoly, unramified_conditions
+
     r = unramified_conditions(kappa_element(m, b, P))
     poly = sqrt_ext_minpoly(r)
     return {"m": str(r.m), "b": str(r.b), "coeffs": [str(c) for c in poly.coeffs],
@@ -217,6 +236,8 @@ _ROW_CHECKS = ("passed", "on_curve", "alpha_match", "printed_alpha_match", "norm
 
 
 def _table1(opts):
+    from .classfield import table1_verify
+
     try:
         result = table1_verify(opts["table"])
     except OSError as exc:

@@ -13,22 +13,20 @@ a miss, never a wrong answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import IntPoly, cubefree_and_noncube, perfect_square_root, rational_reconstruct
+from .arith import IntPoly, Value, _set, cubefree_and_noncube, perfect_square_root, rational_reconstruct
 from .errors import FieldMismatch
 
 
-@dataclass(frozen=True)
-class CubicField:
+class CubicField(Value):
     """Q(cbrt(m)) for a cubefree non-cube integer m."""
 
-    m: int
+    __slots__ = ("m",)
 
-    def __post_init__(self):
-        m = int(self.m)
-        object.__setattr__(self, "m", m)
+    def __init__(self, m: int):
+        m = int(m)
+        _set(self, "m", m)
         cubefree, cube = cubefree_and_noncube(m)
         if cube:
             raise ValueError(f"m = {m} is a perfect cube; the field degenerates")
@@ -50,14 +48,16 @@ class CubicField:
         return f"Q(cbrt({self.m}))"
 
 
-@dataclass(frozen=True)
-class CubicElement:
+class CubicElement(Value):
     """r + s*w + t*w^2 in a fixed CubicField."""
 
-    field: CubicField
-    r: Fraction
-    s: Fraction
-    t: Fraction
+    __slots__ = ("field", "r", "s", "t")
+
+    def __init__(self, field: CubicField, r: Fraction, s: Fraction, t: Fraction):
+        _set(self, "field", field)
+        _set(self, "r", r)
+        _set(self, "s", s)
+        _set(self, "t", t)
 
     def components(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.r, self.s, self.t)

@@ -20,11 +20,10 @@ what quadratic twists with fractional scale produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import IntPoly, perfect_cube_root, perfect_square_root, rational_roots
+from .arith import IntPoly, Value, _set, perfect_cube_root, perfect_square_root, rational_roots
 from .errors import InvalidPoint
 
 
@@ -33,12 +32,18 @@ _SIEVE_MODULI = (8, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SQUARES_MOD = {q: frozenset(r * r % q for r in range(q)) for q in _SIEVE_MODULI}
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """A rational point: affine (x, y), or the point at infinity (None, None)."""
+class CurvePoint(Value):
+    """A rational point: affine (x, y), or the point at infinity (None, None).
 
-    x: Fraction | None
-    y: Fraction | None
+    Coordinates are stored as Fractions, so the group law on points built
+    from ints stays exact.
+    """
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x, y):
+        _set(self, "x", x if x.__class__ is Fraction or x is None else Fraction(x))
+        _set(self, "y", y if y.__class__ is Fraction or y is None else Fraction(y))
 
     @property
     def is_infinity(self) -> bool:
@@ -63,17 +68,16 @@ def affine(x, y) -> CurvePoint:
     return CurvePoint(Fraction(x), Fraction(y))
 
 
-@dataclass(frozen=True)
-class MordellCurve:
+class MordellCurve(Value):
     """The curve y^2 = x^3 + k, k != 0."""
 
-    k: Fraction
+    __slots__ = ("k",)
 
-    def __post_init__(self):
-        k = Fraction(self.k)
+    def __init__(self, k):
+        k = Fraction(k)
         if k == 0:
             raise ValueError("k = 0 is singular")
-        object.__setattr__(self, "k", k)
+        _set(self, "k", k)
 
     @classmethod
     def from_m(cls, m: int) -> "MordellCurve":
@@ -180,7 +184,9 @@ class MordellCurve:
         For the point at infinity this is the rational 2-torsion plus
         infinity itself. Otherwise the preimages are the rational roots of
         halving_quartic(x(P)), so EffortExceeded propagates from factorize
-        when its end coefficients cannot be split.
+        when its end coefficients cannot be split. P is checked once; each
+        candidate is on the curve by construction and is confirmed by one
+        tangent.
         """
         self._require(P)
         if P.is_infinity:
@@ -191,7 +197,7 @@ class MordellCurve:
             if y0 is None:
                 continue
             for Q in (CurvePoint(x0, y0), CurvePoint(x0, -y0)):
-                if self.double(Q) == P:
+                if self._chord(Q, Q) == P:
                     found.add(Q)
         return found
 

@@ -119,6 +119,15 @@ class TestPointFromElem:
             back = point_from_elem(F20, w.alpha)
             assert back.point == P and back.b == -7
 
+    def test_int_coordinates_stay_exact(self):
+        # CubicElement takes its coordinates as given; b*s/t on ints must not become a float
+        s = 2 * (10**9 + 7)
+        built, parsed = CubicElement(F2, -s * s // 2, s, 1), F2.element(-s * s // 2, s, 1)
+        w = point_from_elem(F2, built)
+        assert w == point_from_elem(F2, parsed)
+        assert type(w.b) is Fraction and type(w.point.x) is Fraction
+        assert star(built, built) == star(parsed, parsed) == reference_star(parsed, parsed)
+
     def test_sign_pairing(self):
         C = MordellCurve(-26)
         for P in C.search(2, 40):
@@ -466,8 +475,8 @@ def test_star_and_square_decision_check_once(monkeypatch):
             return f(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(binsq.BinomialSquareWitness, "__post_init__",
-                        counting("witness", binsq.BinomialSquareWitness.__post_init__))
+    monkeypatch.setattr(binsq.BinomialSquareWitness, "__init__",
+                        counting("witness", binsq.BinomialSquareWitness.__init__))
     monkeypatch.setattr(MordellCurve, "contains", counting("contains", MordellCurve.contains))
     monkeypatch.setattr(CubicElement, "norm", counting("norm", CubicElement.norm))
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from purecubic.errors import InvalidPoint
-from purecubic.mordell import INFINITY, MordellCurve, affine, x_as_a_over_e2
+from purecubic.mordell import INFINITY, CurvePoint, MordellCurve, affine, x_as_a_over_e2
 
 from helpers import brute_rational_roots
 from helpers import brute_search
@@ -287,6 +287,35 @@ def test_scalar_mul_checks_the_point_once(monkeypatch):
     with pytest.raises(InvalidPoint):
         C.scalar_mul(37, affine(3, 4))
     assert calls == [affine(3, 4)]
+
+
+def test_halve_checks_the_point_once(monkeypatch):
+    calls = []
+    contains = MordellCurve.contains
+
+    def counting(self, P):
+        calls.append(P)
+        return contains(self, P)
+
+    monkeypatch.setattr(MordellCurve, "contains", counting)
+    C = MordellCurve(-2)
+    P = affine(Fraction(129, 100), Fraction(-383, 1000))
+    assert C.halve(P) == {affine(3, 5)}
+    assert calls == [P]
+
+
+def test_int_coordinates_give_exact_results():
+    # the chord and tangent divide; int coordinates must not turn them into float division
+    C = MordellCurve(-2)
+    P = CurvePoint(3, 5)
+    assert type(P.x) is Fraction and type(P.y) is Fraction
+    twoP = affine(Fraction(129, 100), Fraction(-383, 1000))
+    threeP = C.add(P, twoP)
+    for R, want in ((C.double(P), twoP), (C.add(P, P), twoP), (C.scalar_mul(2, P), twoP),
+                    (C.add(twoP, CurvePoint(3, 5)), threeP), (C.scalar_mul(3, P), threeP)):
+        assert R == want
+        assert type(R.x) is Fraction and type(R.y) is Fraction
+    assert CurvePoint(None, None) == INFINITY
 
 
 def test_halve_the_21_digit_rung():
