@@ -20,12 +20,12 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "arith": ("DEFAULT_EFFORT", "Factorization", "IntPoly", "Rat", "cubefree_and_noncube", "factorize",
+    "arith": ("DEFAULT_EFFORT", "Factorization", "IntPoly", "cubefree_and_noncube", "factorize",
               "perfect_square_root", "rational_reconstruct", "rational_roots"),
     "binsq": ("BinomialSquareWitness", "StarParts", "elem_from_point", "is_square_binomial",
-              "nonsquare_certificate", "point_from_elem", "star", "star_parts"),
-    "classfield": ("KappaReport", "Table1Result", "Table1Row", "kappa_element", "kappa_pairwise_distinct",
-                   "sqrt_ext_minpoly", "table1_verify", "unramified_conditions"),
+              "point_from_elem", "star", "star_parts"),
+    "classfield": ("KappaReport", "Table1Result", "Table1Row", "kappa_element", "sqrt_ext_minpoly",
+                   "table1_verify", "unramified_conditions"),
     "errors": ("AlphaIsSquare", "DomainError", "EffortExceeded", "FieldMismatch", "InvalidPoint",
                "NotBinomial", "ZeroElement"),
     "field": ("CubicElement", "CubicField", "binomial_minpoly", "sqrt_in_field"),

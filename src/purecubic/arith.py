@@ -8,7 +8,7 @@ divisor search cut at Cauchy's bound and sieved by Gauss's lemma), and
 reconstruction of a rational from a high-precision real approximation.
 
 Rationals are plain ``fractions.Fraction`` values (always reduced,
-positive denominator), re-exported as ``Rat``.
+positive denominator).
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from math import gcd, isqrt, lcm
 from operator import attrgetter
 
 from .errors import EffortExceeded
-
-Rat = Fraction
 
 # sets a field of a Value once, in its __init__, past Value.__setattr__
 _set = object.__setattr__
@@ -259,7 +257,7 @@ def factorize(n: int, effort_bound: int = DEFAULT_EFFORT) -> Factorization:
     return fac
 
 
-def perfect_square_root(q: Rat | int) -> Rat | None:
+def perfect_square_root(q: Fraction | int) -> Fraction | None:
     """The nonnegative rational square root of q, or None if q is not a square."""
     q = Fraction(q)
     if q < 0:
@@ -368,7 +366,7 @@ class IntPoly(Value):
         return self.format()
 
 
-def rational_roots(p: IntPoly) -> set[Rat]:
+def rational_roots(p: IntPoly) -> set[Fraction]:
     """All rational roots of a nonzero integer polynomial.
 
     Strips powers of x first (recording the root 0), then enumerates
@@ -440,7 +438,7 @@ def _exact_binary(x) -> tuple[int, int]:
     return man, 1 << -exp
 
 
-def rational_reconstruct(approx, height_bound: int) -> Rat | None:
+def rational_reconstruct(approx, height_bound: int) -> Fraction | None:
     """Recover a rational of bounded height from a real approximation.
 
     Walks the continued fraction of the exact binary value tn/td of
@@ -473,7 +471,7 @@ def rational_reconstruct(approx, height_bound: int) -> Rat | None:
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
-def parse_rat(text: str) -> Rat:
+def parse_rat(text: str) -> Fraction:
     """Parse 'p' or 'p/q' with arbitrary-precision integers; reject anything else."""
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"not an exact rational: {text!r}")

@@ -9,8 +9,11 @@ binomial a - b*w exactly when 2rt + s^2 = 0. Nontrivial solutions
                      alpha^2 = (x^4 + 8Mx)/(4y^2) - b*w,  M = m*b^3
 
 Negating alpha negates the point's y, so a - b*w pins alpha down only
-up to sign. is_square_binomial returns the root with positive real
-embedding, -alpha(Q) for the halving preimage Q, since N(alpha(Q)) = -y(2Q).
+up to sign. is_square_binomial, the one decision entry, returns the root
+with positive real embedding, -alpha(Q) for the halving preimage Q, since
+N(alpha(Q)) = -y(2Q). Its None is a proof: for an affine point P on
+y^2 = x^3 - m, is_square_binomial(field, x(P), 1) is None exactly when P
+is not divisible by 2, which certifies x(P) - w a non-square.
 
 2rt + s^2 = 0 alone proves that alpha's point is on its twist, so star
 checks each operand once and runs one chord: star(alpha1, alpha2) is the
@@ -83,11 +86,9 @@ def elem_from_point(field: CubicField, b, P: CurvePoint) -> BinomialSquareWitnes
     curve = MordellCurve.twist(field.m, b)  # ValueError for b = 0
     if P.is_infinity:
         raise InvalidPoint("the point at infinity maps to the trivial element")
-    if not curve.contains(P):
-        raise InvalidPoint(f"{P} is not on {curve}")
+    curve._require(P)
+    # y != 0: a point (x, 0) would make m*b^3 = x^3 a rational cube, and CubicField rejects cube m
     x, y = P.x, P.y
-    if y == 0:  # cannot happen: m*b^3 is never a rational cube for cubefree non-cube m
-        raise InvalidPoint("2-torsion points carry no binomial square")
     M = field.m * b**3
     a = (x**4 + 8 * M * x) / (4 * y * y)
     return BinomialSquareWitness(field, b, _alpha(field, b, P), a, P, curve)
@@ -194,17 +195,3 @@ def is_square_binomial(field: CubicField, a, b) -> CubicElement | None:
         return -_alpha(field, b, Q)
     return None
 
-
-def nonsquare_certificate(field: CubicField, P: CurvePoint) -> bool:
-    """True when x(P) - w is certified not a square in the field.
-
-    P must be affine on y^2 = x^3 - m. By the correspondence, x(P) - w
-    is a square exactly when P is divisible by 2, so the certificate is
-    an exact halving of P that comes back empty.
-    """
-    if P.is_infinity:
-        raise InvalidPoint("need an affine point")
-    curve = MordellCurve.from_m(field.m)
-    if not curve.contains(P):
-        raise InvalidPoint(f"{P} is not on {curve}")
-    return not curve.halve(P)

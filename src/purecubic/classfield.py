@@ -13,6 +13,12 @@ are tracked as flags: m not congruent to 0 or +-1 mod 9, gcd(a, b) = 1,
 e even, and a positive with a = 1 mod 4. The flags are reported, never
 enforced, so failing examples stay explorable.
 
+Each report's already_square decides, by one exact halving of the point,
+whether alpha is a square, that is, whether K(sqrt(alpha)) is a proper
+extension. It says nothing about several alphas together: the three
+m = 113 alphas of Table 1 are non-squares whose product is a square, so
+the third extension lies in the compositum of the first two.
+
 table1_verify() checks the bundled reference dataset of such rows
 (data/table1.json) end to end.
 """
@@ -26,8 +32,8 @@ from math import gcd
 from typing import NamedTuple
 
 from .arith import IntPoly, perfect_cube_root, perfect_square_root
-from .errors import AlphaIsSquare, FieldMismatch, InvalidPoint
-from .field import CubicElement, CubicField
+from .errors import AlphaIsSquare, InvalidPoint
+from .field import CubicElement, CubicField, binomial_minpoly
 from .mordell import CurvePoint, MordellCurve, x_as_a_over_e2
 
 
@@ -59,20 +65,19 @@ def kappa_element(m: int, b: int, P: CurvePoint) -> KappaReport:
     comes from an exact halving of P; when that halving cannot finish,
     EffortExceeded propagates rather than leaving the question open.
     """
-    if b == 0:
-        raise ValueError("twist scale b must be nonzero")
     field = CubicField(m)  # validates cubefree and non-cube
-    curve = MordellCurve.twist(m, b)
+    curve = MordellCurve.twist(m, b)  # ValueError for b = 0
     if P.is_infinity:
         raise InvalidPoint("need an affine point")
-    if not curve.contains(P):
-        raise InvalidPoint(f"{P} is not on {curve}")
+    curve._require(P)
     a, e = x_as_a_over_e2(P.x)
     alpha = field.element(a, -b * e * e, 0)
-    norm = Fraction(a**3 - m * b**3 * e**6)
+    norm = alpha.norm()
     norm_sqrt = abs(P.y) * e**3
     assert norm == norm_sqrt**2, "norm must equal (y*e^3)^2 for on-curve points"
-    sextic = IntPoly((-int(norm), 0, 3 * a * a, 0, -3 * a, 0, 1))
+    # the minimal cubic of alpha, evaluated at x^2
+    cubic = binomial_minpoly(a, b * e * e, field)
+    sextic = IntPoly(c for coeff in cubic.coeffs for c in (coeff, 0))
     return KappaReport(
         m=m,
         b=b,
@@ -113,20 +118,6 @@ def sqrt_ext_minpoly(report: KappaReport) -> IntPoly:
     if report.already_square:
         raise AlphaIsSquare(f"{report.alpha} is a square: {report.point} is divisible by 2")
     return report.sextic
-
-
-def kappa_pairwise_distinct(reports: list[KappaReport]) -> bool:
-    """Necessary condition for the extensions to be pairwise distinct.
-
-    True when every underlying point has an empty halving preimage,
-    which each report has already decided. Reports must all live over
-    the same field.
-    """
-    if not reports:
-        return True
-    if len({r.m for r in reports}) != 1:
-        raise FieldMismatch("reports span different fields")
-    return not any(r.already_square for r in reports)
 
 
 # -- Table 1 verification ----------------------------------------------------

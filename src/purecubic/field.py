@@ -34,7 +34,7 @@ class CubicField(Value):
             raise ValueError(f"m = {m} is not cubefree")
 
     def element(self, r, s=0, t=0) -> "CubicElement":
-        return CubicElement(self, Fraction(r), Fraction(s), Fraction(t))
+        return CubicElement(self, r, s, t)
 
     @property
     def one(self) -> "CubicElement":
@@ -49,15 +49,19 @@ class CubicField(Value):
 
 
 class CubicElement(Value):
-    """r + s*w + t*w^2 in a fixed CubicField."""
+    """r + s*w + t*w^2 in a fixed CubicField.
+
+    Coordinates are stored as Fractions, so arithmetic on elements built
+    from ints or floats stays exact.
+    """
 
     __slots__ = ("field", "r", "s", "t")
 
-    def __init__(self, field: CubicField, r: Fraction, s: Fraction, t: Fraction):
+    def __init__(self, field: CubicField, r, s, t):
         _set(self, "field", field)
-        _set(self, "r", r)
-        _set(self, "s", s)
-        _set(self, "t", t)
+        _set(self, "r", r if r.__class__ is Fraction else Fraction(r))
+        _set(self, "s", s if s.__class__ is Fraction else Fraction(s))
+        _set(self, "t", t if t.__class__ is Fraction else Fraction(t))
 
     def components(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.r, self.s, self.t)
@@ -134,10 +138,6 @@ class CubicElement(Value):
 
     def trace(self) -> Fraction:
         return 3 * self.r
-
-    def flip(self) -> "CubicElement":
-        """The sign flip s -> -s; preserves having a binomial square."""
-        return CubicElement(self.field, self.r, -self.s, self.t)
 
     def sign_of_embedding(self) -> int:
         """Sign of the real embedding of a nonzero element.

@@ -10,7 +10,6 @@ from purecubic import binsq, mordell
 from purecubic.binsq import (
     elem_from_point,
     is_square_binomial,
-    nonsquare_certificate,
     point_from_elem,
     star,
     star_parts,
@@ -293,20 +292,22 @@ class TestIsSquareBinomial:
 
 
 class TestNonsquareCertificate:
+    """x(P) - w is a square exactly when P is divisible by 2; a None proves it is not."""
+
     def test_bachet_point_is_certified(self):
-        assert nonsquare_certificate(F2, affine(3, 5)) is True
+        # (3, 5) on y^2 = x^3 - 2 is not divisible by 2
+        assert is_square_binomial(F2, 3, 1) is None
 
     def test_doubled_point_is_not(self):
-        assert nonsquare_certificate(F4, affine(5, 11)) is False
+        # (5, 11) = 2*(2, -2) on y^2 = x^3 - 4
+        root = is_square_binomial(F4, 5, 1)
+        assert root is not None and root * root == F4.element(5, -1)
 
     def test_constructed_double(self):
         C = MordellCurve(-2)
         D = C.double(C.point(3, 5))
-        assert nonsquare_certificate(F2, D) is False
-
-    def test_infinity_rejected(self):
-        with pytest.raises(InvalidPoint):
-            nonsquare_certificate(F2, INFINITY)
+        root = is_square_binomial(F2, D.x, 1)
+        assert root is not None and root * root == F2.element(D.x, -1)
 
 
 def test_each_square_decision_halves_once(monkeypatch):
@@ -320,9 +321,6 @@ def test_each_square_decision_halves_once(monkeypatch):
     monkeypatch.setattr(mordell, "rational_roots", counting)
     # the norm 3^3 - 2 = 25 is a square, yet 3 - w is not: (3, +-5) is not divisible by 2
     assert is_square_binomial(F2, 3, 1) is None
-    assert len(calls) == 1
-    calls.clear()
-    assert nonsquare_certificate(F2, affine(3, 5)) is True
     assert len(calls) == 1
 
 

@@ -5,13 +5,12 @@ import pytest
 from purecubic.arith import IntPoly
 from purecubic.classfield import (
     kappa_element,
-    kappa_pairwise_distinct,
     load_table1,
     sqrt_ext_minpoly,
     table1_verify,
     unramified_conditions,
 )
-from purecubic.errors import AlphaIsSquare, EffortExceeded, FieldMismatch, InvalidPoint
+from purecubic.errors import AlphaIsSquare, EffortExceeded, InvalidPoint
 from purecubic.mordell import MordellCurve, affine
 
 
@@ -121,15 +120,21 @@ class TestSqrtExtMinpoly:
 
 
 class TestKappaPairwiseDistinct:
+    """Each report decides whether its own alpha is a square; that says nothing about products."""
+
+    M113 = ((Fraction(97, 4), Fraction(847, 8)),
+            (Fraction(43449, 2500), Fraction(5861043, 125000)),
+            (Fraction(1257, 64), Fraction(34443, 512)))
+
     def test_m113_rows(self):
-        rows = [
-            kappa(113, 3, Fraction(97, 4), Fraction(847, 8)),
-            kappa(113, 3, Fraction(43449, 2500), Fraction(5861043, 125000)),
-            kappa(113, 3, Fraction(1257, 64), Fraction(34443, 512)),
-        ]
-        assert kappa_pairwise_distinct(rows) is True
-        for r in rows:
-            assert r.already_square is False
+        for x, y in self.M113:
+            assert kappa(113, 3, x, y).already_square is False
+
+    def test_m113_alphas_multiply_to_a_square(self):
+        # no alpha is a square, yet the three are dependent in K^x/K^x2
+        a1, a2, a3 = (kappa(113, 3, x, y).alpha for x, y in self.M113)
+        root = a1.field.element(74355, -16266, 594)
+        assert a1 * a2 * a3 == root * root
 
     def test_m2351_rows(self):
         rows = [
@@ -137,23 +142,17 @@ class TestKappaPairwiseDistinct:
             kappa(2351, -3, Fraction(-551, 16), Fraction(9629, 64)),
             kappa(2351, -3, Fraction(-87, 4), Fraction(1845, 8)),
         ]
-        assert kappa_pairwise_distinct(rows) is True
+        for r in rows:
+            assert r.already_square is False
 
     def test_doubled_point_fails(self):
         C = MordellCurve(-47)
         D = C.double(C.point(6, 13))
         r = kappa(47, 1, D.x, D.y)
-        assert kappa_pairwise_distinct([r]) is False
+        assert r.already_square is True
 
     def test_single_nondouble_report(self):
-        assert kappa_pairwise_distinct([kappa(47, 1, 6, 13)]) is True
-
-    def test_empty(self):
-        assert kappa_pairwise_distinct([]) is True
-
-    def test_mixed_fields_rejected(self):
-        with pytest.raises(FieldMismatch):
-            kappa_pairwise_distinct([kappa(47, 1, 6, 13), kappa(26, 1, 3, 1)])
+        assert kappa(47, 1, 6, 13).already_square is False
 
 
 class TestTable1:

@@ -108,32 +108,17 @@ class TestSignOfEmbedding:
             assert sign == want == (1 if r**3 - 2 * y**3 > 0 else -1)
 
 
-class TestFlip:
-    def test_involution(self):
-        a = F2.element(Fraction(1, 3), -2, 5)
-        assert a.flip().flip() == a
+class TestExactCoordinates:
+    def test_int_coordinates_square_to_fractions(self):
+        a = field.CubicElement(F2, 1, 2, 3)
+        assert all(type(c) is Fraction for c in (a * a).components())
+        assert (a * a).components() == (25, 22, 10)
 
-    def test_fixed_on_rationals(self):
-        assert F2.one.flip() == F2.one
-
-    def test_preserves_binomial_square_pattern(self):
-        # the pattern 2rt + s^2 = 0 is invariant under s -> -s, so if
-        # alpha^2 = a - b*w then flip(alpha)^2 is binomial as well
-        a = F2.element(Fraction(-9, 10), Fraction(3, 5), Fraction(1, 5))
-        assert (a * a).components() == (Fraction(129, 100), -1, 0)
-        flipped = a.flip()
-        sq = flipped * flipped
-        assert sq.t == 0
-        assert sq.components() == (Fraction(33, 100), Fraction(29, 25), 0)
-
-    def test_no_claim_without_the_invariant(self):
-        # (1 - w - w^2)^2 = 5 - w^2 is binomial in w^2, not w; flipping s
-        # does not preserve that pattern (checked by direct expansion)
-        a = F2.element(1, -1, -1)
-        assert (a * a).components() == (5, 0, -1)
-        flipped = a.flip()
-        assert flipped == F2.element(1, 1, -1)
-        assert (flipped * flipped).components() == (-3, 4, -1)
+    def test_float_coordinates_give_an_exact_norm(self):
+        a = field.CubicElement(F2, 0.1, 0.2, 0)
+        assert a.components() == (Fraction(0.1), Fraction(0.2), 0)
+        assert type(a.norm()) is Fraction
+        assert a.norm() == Fraction(0.1) ** 3 + 2 * Fraction(0.2) ** 3
 
 
 class TestSqrtInField:

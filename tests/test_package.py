@@ -79,12 +79,14 @@ def test_star_import_binds_every_name():
     assert set(purecubic.__all__) <= set(dir(purecubic))
 
 
-def test_unknown_name_raises_attribute_error():
+# "nonexistent" and the names deleted from the surface
+@pytest.mark.parametrize("name", ["nonexistent", "nonsquare_certificate", "kappa_pairwise_distinct", "Rat"])
+def test_unknown_name_raises_attribute_error(name):
     import purecubic
 
-    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
-        purecubic.nonexistent
-    assert not hasattr(purecubic, "_nonexistent")
+    with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+        getattr(purecubic, name)
+    assert not hasattr(purecubic, f"_{name}")
 
 
 # -- value types ----------------------------------------------------------------------
