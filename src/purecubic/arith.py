@@ -277,8 +277,10 @@ def icbrt(n: int) -> int:
         raise ValueError("icbrt() argument must be nonnegative")
     if n == 0:
         return 0
-    # Start above the root; integer Newton steps then fall monotonically to the floor.
-    x = 1 << -(-n.bit_length() // 3)
+    # Start above the root, from the root of the top half of its bits (or a power of
+    # two for small n); integer Newton steps then fall monotonically to the floor.
+    j = n.bit_length() // 6
+    x = (icbrt(n >> 3 * j) + 1) << j if j else 1 << -(-n.bit_length() // 3)
     while True:
         y = (2 * x + n // (x * x)) // 3
         if y >= x:
@@ -442,30 +444,41 @@ def rational_reconstruct(approx, height_bound: int) -> Fraction | None:
     """Recover a rational of bounded height from a real approximation.
 
     Walks the continued fraction of the exact binary value tn/td of
-    ``approx`` on integers: Euclid's ``divmod`` gives the partial
-    quotients a, and p = a*p' + p'', q = a*q' + q'' the convergents.
-    Returns the last convergent p/q with |p|, q <= height_bound lying
-    within 2**-tbits of tn/td, tbits = max(8, prec // 2) at the current
-    mpmath working precision (tested as |tn*q - p*td| * 2**tbits <=
-    td*q), or None; callers are expected to re-verify the result
-    exactly. Raises ValueError for an infinite or NaN ``approx``.
+    ``approx`` (see ``_convergent``) with tbits = max(8, prec // 2) at the
+    current mpmath working precision, and returns the last convergent p/q
+    with |p|, q <= height_bound lying within 2**-tbits of tn/td, or None;
+    callers are expected to re-verify the result exactly. Raises
+    ValueError for an infinite or NaN ``approx``. The field's square root
+    no longer calls it: it runs the walk on its own fixed-point values.
     """
     import mpmath as mp
 
     tn, td = _exact_binary(approx)
-    tbits = max(8, mp.mp.prec // 2)
-    best = None
+    return _convergent(tn, td, max(8, mp.mp.prec // 2), height_bound)
+
+
+def _convergent(tn: int, td: int, tbits: int, height_bound: int) -> Fraction | None:
+    """The last convergent p/q of tn/td (td > 0) with |p|, q <= height_bound
+    and |tn/td - p/q| <= 2**-tbits, or None.
+
+    The continued fraction is walked on integers: Euclid's ``divmod``
+    gives the partial quotients a, and p = a*p' + p'', q = a*q' + q'' the
+    convergents. Each convergent lies closer to tn/td than the one before,
+    so only the last one within the height bound is tested, as
+    |tn*q - p*td| * 2**tbits <= td*q.
+    """
     p0, q0, p1, q1 = 0, 1, 1, 0
     n, d = tn, td
     while d:
         a, rem = divmod(n, d)
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        if abs(p1) > height_bound or q1 > height_bound:
+        p, q = a * p1 + p0, a * q1 + q0
+        if abs(p) > height_bound or q > height_bound:
             break
-        if abs(tn * q1 - p1 * td) << tbits <= td * q1:
-            best = p1, q1
+        p0, q0, p1, q1 = p1, q1, p, q
         n, d = d, rem
-    return None if best is None else Fraction(*best)
+    if q1 and abs(tn * q1 - p1 * td) << tbits <= td * q1:
+        return Fraction(p1, q1)
+    return None
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")

@@ -36,7 +36,9 @@ class BinomialSquareWitness(Value):
     """An element alpha with alpha^2 = a - b*w, tied to its curve point.
 
     For the trivial case (alpha rational, b = 0) the point is infinity
-    and there is no twist curve. Both facts are checked on construction.
+    and there is no twist curve. Both facts are checked on construction;
+    elem_from_point and point_from_elem, which have already proved them,
+    build theirs through _proved.
     """
 
     __slots__ = ("field", "b", "alpha", "a", "point", "curve")
@@ -49,6 +51,14 @@ class BinomialSquareWitness(Value):
             raise InvalidPoint(f"{point} is not on {curve}")
         for name, value in zip(self.__slots__, (field, b, alpha, a, point, curve)):
             _set(self, name, value)
+
+    @classmethod
+    def _proved(cls, *values) -> "BinomialSquareWitness":
+        """The witness of ``__init__``'s arguments, whose two facts the caller has proved."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            _set(self, name, value)
+        return self
 
 
 def _point(b: Fraction, alpha: CubicElement) -> CurvePoint:
@@ -73,11 +83,10 @@ def _binomial_b(field: CubicField, alpha: CubicElement) -> Fraction:
         raise FieldMismatch(f"{alpha.field} != {field}")
     if alpha.is_zero():
         raise ZeroElement("0 is not in the multiplicative group")
-    r, s, t = alpha.components()
+    r, s, t, d = alpha._integral()  # on the common denominator d
     if 2 * r * t + s * s != 0:
-        raise NotBinomial(f"2rt + s^2 = {2 * r * t + s * s} != 0")
-    # a Fraction even for int coordinates, so that _point divides exactly
-    return -Fraction(2 * r * s + field.m * t * t)
+        raise NotBinomial(f"2rt + s^2 = {Fraction(2 * r * t + s * s, d * d)} != 0")
+    return Fraction(-(2 * r * s + field.m * t * t), d * d)
 
 
 def elem_from_point(field: CubicField, b, P: CurvePoint) -> BinomialSquareWitness:
@@ -86,12 +95,12 @@ def elem_from_point(field: CubicField, b, P: CurvePoint) -> BinomialSquareWitnes
     curve = MordellCurve.twist(field.m, b)  # ValueError for b = 0
     if P.is_infinity:
         raise InvalidPoint("the point at infinity maps to the trivial element")
-    curve._require(P)
+    curve._require(P)  # the one check: P on the curve makes alpha^2 = a - b*w an identity
     # y != 0: a point (x, 0) would make m*b^3 = x^3 a rational cube, and CubicField rejects cube m
     x, y = P.x, P.y
     M = field.m * b**3
     a = (x**4 + 8 * M * x) / (4 * y * y)
-    return BinomialSquareWitness(field, b, _alpha(field, b, P), a, P, curve)
+    return BinomialSquareWitness._proved(field, b, _alpha(field, b, P), a, P, curve)
 
 
 def point_from_elem(field: CubicField, alpha: CubicElement) -> BinomialSquareWitness:
@@ -101,12 +110,12 @@ def point_from_elem(field: CubicField, alpha: CubicElement) -> BinomialSquareWit
     unless 2rt + s^2 = 0. Rational alpha is the trivial case and maps to
     the point at infinity with b = 0.
     """
-    b = _binomial_b(field, alpha)
+    b = _binomial_b(field, alpha)  # the one check, which proves both facts of the witness
     r, s, t = alpha.components()
     if t == 0:  # then s = 0 as well, and alpha^2 = r^2
-        return BinomialSquareWitness(field, b, alpha, r * r, INFINITY, None)
+        return BinomialSquareWitness._proved(field, b, alpha, r * r, INFINITY, None)
     curve = MordellCurve.twist(field.m, b)
-    return BinomialSquareWitness(field, b, alpha, r * r + 2 * field.m * s * t, _point(b, alpha), curve)
+    return BinomialSquareWitness._proved(field, b, alpha, r * r + 2 * field.m * s * t, _point(b, alpha), curve)
 
 
 class StarParts(NamedTuple):

@@ -69,7 +69,7 @@ def kappa_element(m: int, b: int, P: CurvePoint) -> KappaReport:
     curve = MordellCurve.twist(m, b)  # ValueError for b = 0
     if P.is_infinity:
         raise InvalidPoint("need an affine point")
-    curve._require(P)
+    already_square = bool(curve.halve(P))  # halve checks P on the curve, once
     a, e = x_as_a_over_e2(P.x)
     alpha = field.element(a, -b * e * e, 0)
     norm = alpha.norm()
@@ -92,7 +92,7 @@ def kappa_element(m: int, b: int, P: CurvePoint) -> KappaReport:
         two_divides_e=e % 2 == 0,
         a_pos_1mod4=a > 0 and a % 4 == 1,
         sextic=sextic,
-        already_square=bool(curve.halve(P)),
+        already_square=already_square,
     )
 
 

@@ -1,21 +1,26 @@
 """Exact arithmetic in the pure cubic field Q(w), w^3 = m.
 
-Elements are stored on the basis (1, w, w^2) with rational coordinates.
-Besides ring arithmetic, norm and trace, this module provides a verified
-general square root: an element whose norm is not a rational square is
-rejected exactly; for the others, one numeric attempt, at a precision in
-bits worked out from the height of the input and from m, produces
-candidate roots from the three embeddings of the field and reconstructs
-them coordinate-wise as rationals. Every candidate is confirmed by exact
-squaring before it is returned, so a wrong numeric guess can only cause
-a miss, never a wrong answer.
+Elements are stored on the basis (1, w, w^2) with rational coordinates;
+the norm and the product work on integer numerators over one common
+denominator. Besides ring arithmetic, norm and trace, this module
+provides a verified general square root: an element whose norm is not a
+rational square is rejected exactly; for the others, one numeric
+attempt, in binary fixed point on Python integers at a precision in
+bits worked out from the height of the input, from m and from the
+smallest embedding the norm allows, produces candidate roots from the
+three embeddings of the field and reconstructs them coordinate-wise as
+rationals (the error bound is in sqrt_in_field). Every candidate is
+confirmed by exact squaring before it is returned, so a wrong numeric
+guess can only cause a miss, never a wrong answer. No floating point and
+no third-party package is used.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, lcm
 
-from .arith import IntPoly, Value, _set, cubefree_and_noncube, perfect_square_root, rational_reconstruct
+from .arith import IntPoly, Value, _convergent, _set, cubefree_and_noncube, icbrt, perfect_square_root
 from .errors import FieldMismatch
 
 
@@ -66,6 +71,15 @@ class CubicElement(Value):
     def components(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.r, self.s, self.t)
 
+    def _integral(self) -> tuple[int, int, int, int]:
+        """(R, S, T, D): the coordinates as R/D, S/D, T/D, D the lcm of their denominators."""
+        r, s, t = self.r, self.s, self.t
+        dr, ds, dt = r.denominator, s.denominator, t.denominator
+        if dr == ds == dt:
+            return r.numerator, s.numerator, t.numerator, dr
+        d = lcm(dr, ds, dt)
+        return r.numerator * (d // dr), s.numerator * (d // ds), t.numerator * (d // dt), d
+
     def is_rational(self) -> bool:
         return self.s == 0 and self.t == 0
 
@@ -106,13 +120,14 @@ class CubicElement(Value):
         if o is NotImplemented:
             return o
         m = self.field.m
-        r1, s1, t1 = self.components()
-        r2, s2, t2 = o.components()
+        r1, s1, t1, d1 = self._integral()
+        r2, s2, t2, d2 = o._integral()
+        d = d1 * d2
         return CubicElement(
             self.field,
-            r1 * r2 + m * (s1 * t2 + t1 * s2),
-            r1 * s2 + s1 * r2 + m * t1 * t2,
-            r1 * t2 + s1 * s2 + t1 * r2,
+            Fraction(r1 * r2 + m * (s1 * t2 + t1 * s2), d),
+            Fraction(r1 * s2 + s1 * r2 + m * t1 * t2, d),
+            Fraction(r1 * t2 + s1 * s2 + t1 * r2, d),
         )
 
     __rmul__ = __mul__
@@ -133,8 +148,8 @@ class CubicElement(Value):
     def norm(self) -> Fraction:
         """N(r + s*w + t*w^2) = r^3 + m s^3 + m^2 t^3 - 3m r s t."""
         m = self.field.m
-        r, s, t = self.components()
-        return r**3 + m * s**3 + m * m * t**3 - 3 * m * r * s * t
+        r, s, t, d = self._integral()
+        return Fraction(r**3 + m * s**3 + m * m * t**3 - 3 * m * r * s * t, d**3)
 
     def trace(self) -> Fraction:
         return 3 * self.r
@@ -175,13 +190,21 @@ def sqrt_in_field(beta: CubicElement, digits: int = 256) -> CubicElement | None:
     beta exactly. Returns the root with positive real embedding.
     ``digits`` is accepted and ignored.
 
-    The precision, prec = 2*bits(H) + bits(h) + 2*bits(m)//3 + 80 bits,
-    puts each coordinate within about |g| * 2^-prec of its value, where
-    |g| <= sqrt(3h) * |m|^(1/3) bounds the embeddings of the root (the
-    middle terms bound |g|^2, leaving a factor |g| to spare). That error
-    is below 1/(2H^2), so a coordinate p/q with |p|, q <= H is a
-    convergent whose successor lies past H, and below the 2^-(prec//2)
-    that ``rational_reconstruct`` accepts, so the walk returns it. A None
+    The attempt works in binary fixed point at 2^-P on Python integers,
+    P = prec + guard, prec = 2*bits(H) + bits(h) + 2*bits(m)//3 + 80. Let
+    B = max(1, |r| + |s|*v + |t|*v^2), v = icbrt(|m|) + 1 > |w|, which
+    bounds every embedding of beta, and N = N(beta). Rounding w, w^2 and
+    sqrt(3) to 2^-P puts each embedding within 3*B * 2^-P of its value,
+    and a square root divides that error by the size of the root's
+    embedding, at least sqrt(|N|)/B, because the smallest embedding of
+    beta is at least |N|/B^2. Each coordinate is so within
+    8*B^2/sqrt(|N|) * 2^-P of its value. The guard, the bit length of
+    ceil(8*B^4/|N|), brings that to at most 2^-prec (and keeps each
+    embedding's error below half its size). Rounded down to a multiple of
+    2^-K, K = max(2*bits(H), prec//2) + 2, a coordinate is then within
+    2^-(2*bits(H) + 1) < 1/(2H^2) of its value, so a coordinate p/q with
+    |p|, q <= H is a convergent whose successor lies past H, and within
+    the 2^-(prec//2) that the walk accepts, so the walk returns it. A None
     on a square norm therefore means that no root has coordinates of
     height at most H: w in Q(cbrt(33554467^2)) is a square, w =
     (w^2/33554467)^2, but its root lies above that bound.
@@ -200,33 +223,57 @@ def sqrt_in_field(beta: CubicElement, digits: int = 256) -> CubicElement | None:
 
 
 def _sqrt_attempt(beta: CubicElement, prec: int, height_bound: int) -> CubicElement | None:
-    import mpmath as mp
-
+    """The root of beta with coordinates of height at most height_bound, if any, for
+    prec >= 2*bits(height_bound) + 2; the error bound is in sqrt_in_field."""
     m = beta.field.m
-    with mp.workprec(prec):
-        w = mp.cbrt(mp.mpf(m)) if m > 0 else -mp.cbrt(mp.mpf(-m))  # the real embedding of w
-        zeta = mp.expjpi(mp.mpf(2) / 3)  # primitive cube root of unity
-        r, s, t = (mp.mpf(c.numerator) / c.denominator for c in beta.components())
-        # the real embedding is positive: it has the sign of the norm, a nonzero square
-        g_real = mp.sqrt(r + s * w + t * w * w)
-        e_cplx = r + s * w * zeta + t * w * w * zeta**2
-        for sign in (1, -1):
-            g_cplx = sign * mp.sqrt(e_cplx)
-            # invert the embedding matrix: conjugate coordinates come in
-            # a real + complex-pair pattern
-            rr = (g_real + 2 * mp.re(g_cplx)) / 3
-            ss = (g_real + 2 * mp.re(zeta**2 * g_cplx)) / (3 * w)
-            tt = (g_real + 2 * mp.re(zeta * g_cplx)) / (3 * w * w)
-            comps = []
-            for v in (rr, ss, tt):
-                c = rational_reconstruct(v, height_bound)
-                if c is None:
-                    break
-                comps.append(c)
-            else:
-                gamma = CubicElement(beta.field, *comps)
-                if gamma * gamma == beta:
-                    return gamma.positive_embedding()
+    R, S, T, D = beta._integral()
+    v = icbrt(abs(m)) + 1
+    b = max(abs(R) + abs(S) * v + abs(T) * v * v, D)  # D * B
+    N = beta.norm()  # nonzero
+    P = prec + (-(-8 * b**4 * N.denominator // (D**4 * abs(N.numerator)))).bit_length()
+    # fixed point at 2^-P: each name below is its value times 2^P
+    W = icbrt(abs(m) << 3 * P) * (1 if m > 0 else -1)  # the real embedding of w
+    W2 = W * W >> P
+    Q3 = isqrt(3 << 2 * P)  # sqrt(3)
+    A1 = S * W + T * W2
+    A2 = S * W - T * W2
+    # the root of D^2 * beta at the real embedding, which is positive: it has the sign
+    # of the norm, a nonzero square
+    G = isqrt((D * ((R << P) + A1)) << P)
+    # a root U + iV of z = 4D^2 * beta at the complex embedding w*zeta, zeta = (-1 + i*sqrt(3))/2,
+    # from the one of (|z| +- Re z)/2 that does not cancel; the sign is free, as both are tried
+    zr = D * ((R << (P + 2)) - 2 * A1)
+    zi = D * (Q3 * A2 >> (P - 1))
+    z = isqrt(zr * zr + zi * zi)
+    if zr >= 0:
+        U = isqrt((z + zr) << (P - 1))
+        V = (zi << P) // (2 * U)
+    else:
+        V = isqrt((z - zr) << (P - 1))
+        U = (zi << P) // (2 * V)
+    V3 = Q3 * V >> P
+    tbits = max(8, prec // 2)
+    K = max(2 * height_bound.bit_length(), tbits) + 2
+    for sign in (1, -1):
+        # invert the embedding matrix; G and U + iV are D and 2D times the root's embeddings:
+        # 3D*r = G + U, 6D*w*s = 2G - U + sqrt(3)V, 6D*w^2*t = 2G - U - sqrt(3)V;
+        # each coordinate is rounded down to a multiple of 2^-K for the walk
+        u, v3 = sign * U, sign * V3
+        coords = (
+            ((G + u) << K) // ((3 * D) << P),
+            ((2 * G - u + v3) << K) // (6 * D * W),
+            ((2 * G - u - v3) << (P + K)) // (6 * D * W * W),
+        )
+        comps = []
+        for x in coords:
+            c = _convergent(x, 1 << K, tbits, height_bound)
+            if c is None:
+                break
+            comps.append(c)
+        else:
+            gamma = CubicElement(beta.field, *comps)
+            if gamma * gamma == beta:
+                return gamma.positive_embedding()
     return None
 
 

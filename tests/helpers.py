@@ -50,6 +50,26 @@ def naive_elem_square(m: int, comps):
     return (c0, c1, c2)
 
 
+def naive_elem_mul(m: int, a, b):
+    """(r1 + s1*w + t1*w^2)(r2 + s2*w + t2*w^2) by schoolbook distribution over
+    the nine basis products w^(i+j), reducing w^3 -> m and w^4 -> m*w."""
+    out = [0, 0, 0]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            k = i + j
+            out[k % 3] += x * y * (m if k >= 3 else 1)
+    return tuple(out)
+
+
+def naive_norm(m: int, comps):
+    """N(r + s*w + t*w^2) as the determinant of multiplication by it on the
+    basis (1, w, w^2), expanded along the first row."""
+    r, s, t = comps
+    rows = ((r, m * t, m * s), (s, r, m * t), (t, s, r))
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def brute_search(k, e_bound: int, a_bound: int) -> list[tuple[Fraction, Fraction]]:
     """Every (x, y) on y^2 = x^3 + k with x = a/e^2, gcd(a, e) = 1, e <= e_bound,
     |a| <= a_bound, by building each x as a Fraction and testing x^3 + k for a

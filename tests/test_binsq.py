@@ -3,7 +3,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from purecubic import binsq, mordell
@@ -14,6 +14,7 @@ from purecubic.binsq import (
     star,
     star_parts,
 )
+from purecubic.classfield import kappa_element
 from purecubic.errors import FieldMismatch, InvalidPoint, NotBinomial, ZeroElement
 from purecubic.field import CubicElement, CubicField, sqrt_in_field
 from purecubic.mordell import INFINITY, MordellCurve, affine
@@ -62,6 +63,30 @@ class TestElemFromPoint:
     def test_infinity_rejected(self):
         with pytest.raises(InvalidPoint):
             elem_from_point(F2, 1, INFINITY)
+
+
+class TestBinomialB:
+    """_binomial_b on one common denominator against the plain Fraction formulas."""
+
+    fields = st.sampled_from([2, 26, -2, -7, 113, 33554467**2]).map(CubicField)
+    big = st.integers(-(10**30), 10**30)
+    coords = st.one_of(big, st.builds(Fraction, big, st.integers(1, 10**30)))
+
+    @given(fields, coords, coords.filter(bool))
+    @settings(max_examples=150, deadline=None)
+    def test_b_of_a_binomial_square(self, F, s, t):
+        r = -Fraction(s) ** 2 / (2 * Fraction(t))
+        b = binsq._binomial_b(F, F.element(r, s, t))
+        assert type(b) is Fraction and b == -(2 * r * s + F.m * Fraction(t) ** 2)
+
+    @given(fields, coords, coords, coords)
+    @settings(max_examples=150, deadline=None)
+    def test_message_for_a_non_binomial(self, F, r, s, t):
+        r, s, t = map(Fraction, (r, s, t))
+        assume(2 * r * t + s * s != 0)
+        with pytest.raises(NotBinomial) as info:
+            binsq._binomial_b(F, F.element(r, s, t))
+        assert str(info.value) == f"2rt + s^2 = {2 * r * t + s * s} != 0"
 
 
 class TestPointFromElem:
@@ -485,3 +510,20 @@ def test_star_and_square_decision_check_once(monkeypatch):
     assert is_square_binomial(F4, 5, 1) == root
     assert counts["witness"] == counts["norm"] == 0
     assert counts["contains"] > 0  # halve still validates the point it halves
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kappa_element(113, 3, affine(Fraction(97, 4), Fraction(847, 8))),
+    lambda: elem_from_point(F2, 1, affine(3, 5)),
+], ids=["kappa_element", "elem_from_point"])
+def test_each_point_checked_on_its_curve_once(monkeypatch, call):
+    calls = []
+    contains = MordellCurve.contains
+
+    def counted(curve, P):
+        calls.append(P)
+        return contains(curve, P)
+
+    monkeypatch.setattr(MordellCurve, "contains", counted)
+    call()
+    assert len(calls) == 1

@@ -11,7 +11,7 @@ from purecubic.errors import FieldMismatch
 from purecubic import field
 from purecubic.field import CubicField, binomial_minpoly, sqrt_in_field
 
-from helpers import naive_elem_square, reference_sqrt_in_field
+from helpers import naive_elem_mul, naive_elem_square, naive_norm, reference_sqrt_in_field
 
 F2 = CubicField(2)
 F26 = CubicField(26)
@@ -95,6 +95,26 @@ class TestNormTrace:
     @settings(max_examples=50, deadline=None)
     def test_trace_additive(self, a, b):
         assert (a + b).trace() == a.trace() + b.trace()
+
+
+class TestIntegerKernels:
+    """norm() and * on one common denominator against the plain Fraction formulas."""
+
+    fields = st.sampled_from([2, 3, 26, -2, -7, -26, 113, 33554467**2]).map(CubicField)
+    big = st.integers(-(10**30), 10**30)
+    coords = st.one_of(big, rats, st.builds(Fraction, big, st.integers(1, 10**30)))
+    triples = st.tuples(coords, coords, coords)
+
+    @given(fields, triples, triples, big)
+    @settings(max_examples=200, deadline=None)
+    def test_norm_and_product(self, F, a, b, n):
+        x, y = F.element(*a), F.element(*b)
+        a, b = tuple(map(Fraction, a)), tuple(map(Fraction, b))
+        assert x.norm() == naive_norm(F.m, a) and type(x.norm()) is Fraction
+        product = (x * y).components()
+        assert product == naive_elem_mul(F.m, a, b)
+        assert all(type(c) is Fraction for c in product)
+        assert (n * x).components() == (x * n).components() == tuple(n * c for c in a)
 
 
 class TestSignOfEmbedding:
@@ -213,6 +233,45 @@ class TestOneAttempt:
         expected = reference_sqrt_in_field(beta)
         if expected is not None:
             assert sqrt_in_field(beta) == expected
+
+
+class TestFixedPointEdges:
+    """The fixed-point attempt next to its guard and on its stable complex branch."""
+
+    @pytest.mark.parametrize("n", [5, 50, 150, 400])
+    def test_powers_of_the_unit_w_minus_1(self, n):
+        # the real embedding of (w - 1)^(2n) is about 0.26^(2n): 2^-1555 for n = 400
+        gamma = (F2.omega - 1) ** n
+        assert sqrt_in_field(gamma * gamma) in (gamma, -gamma)
+
+    @pytest.mark.parametrize("n", [5, 50, 150, 400])
+    def test_the_guard_alone_at_the_least_precision(self, n):
+        # at prec = 2*bits(H) + 2 nothing but the guard pays for the tiny real embedding;
+        # without it the rounding of that embedding changes its sign at n = 50
+        gamma = (F2.omega - 1) ** n * Fraction(1, 3**40)
+        H = max(max(abs(c.numerator), c.denominator) for c in gamma.components())
+        assert field._sqrt_attempt(gamma * gamma, 2 * H.bit_length() + 2, H) in (gamma, -gamma)
+
+    @pytest.mark.parametrize("m, comps", [
+        (2, (1, 3, 0)), (2, (1, 0, 2)), (26, (0, 1, 0)), (-2, (1, 1, 1)),
+        (-7, (2, -1, 3)), (-7, (Fraction(1, 3), 5, Fraction(-2, 7))),
+    ])
+    def test_complex_embedding_with_a_negative_real_part(self, m, comps):
+        gamma = CubicField(m).element(*comps)
+        beta = gamma * gamma
+        # beta at w*zeta, zeta = (-1 + i*sqrt(3))/2, has real part r - (s*w + t*w^2)/2
+        w = abs(m) ** (1 / 3) * (1 if m > 0 else -1)
+        r, s, t = map(float, beta.components())
+        assert r - (s * w + t * w * w) / 2 < 0
+        assert sqrt_in_field(beta) in (gamma, -gamma)
+
+    @pytest.mark.parametrize("n", [10, 50, 150])
+    def test_complex_root_next_to_the_imaginary_axis(self, n):
+        # gamma = a/2 - b*w - c*w^2 for (w - 1)^n = a + b*w + c*w^2: gamma at w*zeta has real
+        # part (a + b*w + c*w^2)/2, about 0.26^n / 2, so gamma^2 lies next to the negative axis
+        a, b, c = ((F2.omega - 1) ** n).components()
+        gamma = F2.element(a / 2, -b, -c)
+        assert sqrt_in_field(gamma * gamma) in (gamma, -gamma)
 
 
 class TestNormTest:
