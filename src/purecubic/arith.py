@@ -449,7 +449,7 @@ def rational_reconstruct(approx, height_bound: int) -> Fraction | None:
     with |p|, q <= height_bound lying within 2**-tbits of tn/td, or None;
     callers are expected to re-verify the result exactly. Raises
     ValueError for an infinite or NaN ``approx``. The field's square root
-    no longer calls it: it runs the walk on its own fixed-point values.
+    does not call it: it runs ``_convergent`` on its own fixed-point values.
     """
     import mpmath as mp
 
