@@ -8,22 +8,29 @@ binomial a - b*w exactly when 2rt + s^2 = 0. Nontrivial solutions
     (x, y)       ->  alpha = -x^2/2y + (b*x/y)*w + (b^2/y)*w^2,
                      alpha^2 = (x^4 + 8Mx)/(4y^2) - b*w,  M = m*b^3
 
+Both maps work on the numerators and denominators of b, s, t and of
+x, y: each output coordinate is one Fraction(num, den), with no Fraction
+arithmetic on the way.
+
 Negating alpha negates the point's y, so a - b*w pins alpha down only
-up to sign. is_square_binomial, the one decision entry, returns the root
-with positive real embedding, -alpha(Q) for the halving preimage Q, since
-N(alpha(Q)) = -y(2Q). Its None is a proof: for an affine point P on
-y^2 = x^3 - m, is_square_binomial(field, x(P), 1) is None exactly when P
-is not divisible by 2, which certifies x(P) - w a non-square.
+up to sign. is_square_binomial, the one decision entry, tests the norm
+a^3 - m*b^3 for a square on integers, then returns the root with
+positive real embedding, alpha(-Q) = -alpha(Q) for the halving preimage
+Q, since N(alpha(Q)) = -y(2Q). Its None is a proof: for an affine point
+P on y^2 = x^3 - m, is_square_binomial(field, x(P), 1) is None exactly
+when P is not divisible by 2, which certifies x(P) - w a non-square.
 
 2rt + s^2 = 0 alone proves that alpha's point is on its twist, so star
 checks each operand once and runs one chord: star(alpha1, alpha2) is the
-element of -(P1 + P2), the sign of star_parts' closed formulas (b = 1).
-A rational operand is the identity and leaves the other one unchanged.
+element of -(P1 + P2), the sign of star_parts' closed formulas (b = 1),
+and 1 when the chord gives infinity (alpha2 = -alpha1). A rational
+operand is the identity and leaves the other one unchanged.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import NamedTuple
 
 from .arith import Value, _set, perfect_square_root
@@ -62,14 +69,21 @@ class BinomialSquareWitness(Value):
 
 
 def _point(b: Fraction, alpha: CubicElement) -> CurvePoint:
-    """The point (b*s/t, b^2/t) of alpha, t != 0; unvalidated, see _binomial_b."""
-    return CurvePoint(b * alpha.s / alpha.t, b * b / alpha.t)
+    """The point (b*s/t, b^2/t) of alpha, t != 0, one Fraction a coordinate; unvalidated, see _binomial_b."""
+    bn, bd = b.numerator, b.denominator
+    s, t = alpha.s, alpha.t
+    tn, td = t.numerator, t.denominator
+    return CurvePoint(Fraction(bn * s.numerator * td, bd * s.denominator * tn),
+                      Fraction(bn * bn * td, bd * bd * tn))
 
 
 def _alpha(field: CubicField, b: Fraction, P: CurvePoint) -> CubicElement:
-    """The element of an affine point P with y != 0 on y^2 = x^3 - m*b^3."""
-    x, y = P.x, P.y
-    return field.element(-x * x / (2 * y), b * x / y, b * b / y)
+    """The element of an affine point P with y != 0 on y^2 = x^3 - m*b^3, one Fraction a coordinate."""
+    bn, bd = b.numerator, b.denominator
+    xn, xd, yn, yd = P.x.numerator, P.x.denominator, P.y.numerator, P.y.denominator
+    u = xd * yn  # x/y = xn*yd/u
+    return field.element(Fraction(-xn * xn * yd, 2 * xd * u), Fraction(bn * xn * yd, bd * u),
+                         Fraction(bn * bn * yd, bd * bd * yn))
 
 
 def _binomial_b(field: CubicField, alpha: CubicElement) -> Fraction:
@@ -81,9 +95,9 @@ def _binomial_b(field: CubicField, alpha: CubicElement) -> Fraction:
     """
     if alpha.field != field:
         raise FieldMismatch(f"{alpha.field} != {field}")
-    if alpha.is_zero():
-        raise ZeroElement("0 is not in the multiplicative group")
     r, s, t, d = alpha._integral()  # on the common denominator d
+    if not (r or s or t):
+        raise ZeroElement("0 is not in the multiplicative group")
     if 2 * r * t + s * s != 0:
         raise NotBinomial(f"2rt + s^2 = {Fraction(2 * r * t + s * s, d * d)} != 0")
     return Fraction(-(2 * r * s + field.m * t * t), d * d)
@@ -170,10 +184,8 @@ def star(alpha1: CubicElement, alpha2: CubicElement) -> CubicElement:
         return alpha1
     if b != b2:
         raise NotBinomial(f"twist scales differ: {b} vs {b2}")
-    if alpha1 == -alpha2:
-        return field.one
-    curve = MordellCurve.twist(field.m, b)
-    return _alpha(field, b, -curve._chord(_point(b, alpha1), _point(b, alpha2)))
+    R = MordellCurve.twist(field.m, b)._chord(_point(b, alpha1), _point(b, alpha2))
+    return field.one if R.is_infinity else _alpha(field, b, -R)  # infinity for alpha2 = -alpha1
 
 
 def is_square_binomial(field: CubicField, a, b) -> CubicElement | None:
@@ -195,12 +207,14 @@ def is_square_binomial(field: CubicField, a, b) -> CubicElement | None:
     if b == 0:
         root = perfect_square_root(a)
         return field.element(root) if root is not None else None
-    norm = a**3 - field.m * b**3
-    y = perfect_square_root(norm)
-    if y is None:
+    e = a.denominator * b.denominator
+    # the norm a^3 - m*b^3 is n/e^3, the square of a rational exactly when n*e is an integer square
+    ne = ((a.numerator * b.denominator) ** 3 - field.m * (b.numerator * a.denominator) ** 3) * e
+    y = isqrt(ne) if ne > 0 else -1
+    if y * y != ne:
         return None
     curve = MordellCurve.twist(field.m, b)
-    for Q in curve.halve(CurvePoint(a, y)):
-        return -_alpha(field, b, Q)
+    for Q in curve.halve(CurvePoint(a, Fraction(y, e * e))):
+        return _alpha(field, b, -Q)
     return None
 

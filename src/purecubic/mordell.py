@@ -11,8 +11,9 @@ is a rational root of the quartic
 
     x^4 - 4X x^3 - 8k x - 4kX        (X = x(P))
 
-and x(Q)^3 + k is a rational square; candidates are confirmed by an
-exact doubling check, never by sign conventions.
+and x(Q)^3 + k is a rational square; each candidate x0 is confirmed by
+one exact doubling, never by sign conventions: 2(x0, y0) must be P or
+-P, and 2(x0, -y0) is its negation.
 
 k is normally an integer but may be any nonzero rational, which is
 what quadratic twists with fractional scale produce.
@@ -86,11 +87,11 @@ class MordellCurve(Value):
 
     @classmethod
     def twist(cls, m: int, b) -> "MordellCurve":
-        """The twist y^2 = x^3 - m*b^3 carrying squares of the form a - b*w."""
+        """The twist y^2 = x^3 - m*b^3 carrying squares a - b*w; k = -m*bn^3/bd^3 is one Fraction."""
         b = Fraction(b)
         if b == 0:
             raise ValueError("twist scale b must be nonzero")
-        return cls(-m * b**3)
+        return cls(Fraction(-m * b.numerator**3, b.denominator**3))
 
     def __str__(self):
         k = self.k
@@ -173,10 +174,14 @@ class MordellCurve(Value):
         return {CurvePoint(Fraction(xn, xd), Fraction(0))}
 
     def halving_quartic(self, X) -> IntPoly:
-        """Integer form of the preimage quartic for x(2Q) = X."""
+        """Integer form of the preimage quartic for x(2Q) = X: its coefficients times their
+        least common denominator, as IntPoly.from_rationals gives them, worked out on integers."""
         X = Fraction(X)
-        k = self.k
-        return IntPoly.from_rationals([-4 * k * X, -8 * k, 0, -4 * X, 1])
+        kn, kd, xn, xd = self.k.numerator, self.k.denominator, X.numerator, X.denominator
+        # kd*xd clears every denominator; the gcd, which divides the leading kd*xd, takes out the excess
+        coeffs = (-4 * kn * xn, -8 * kn * xd, 0, -4 * xn * kd, kd * xd)
+        g = gcd(*coeffs)
+        return IntPoly(c // g for c in coeffs)
 
     def halve(self, P: CurvePoint) -> set[CurvePoint]:
         """All rational Q with 2Q = P (possibly empty; at most two).
@@ -185,8 +190,10 @@ class MordellCurve(Value):
         infinity itself. Otherwise the preimages are the rational roots of
         halving_quartic(x(P)), so EffortExceeded propagates from factorize
         when its end coefficients cannot be split. P is checked once; each
-        candidate is on the curve by construction and is confirmed by one
-        tangent.
+        root x0 with x0^3 + k = y0^2 a rational square gives Q = (x0, y0),
+        on the curve by construction, and one tangent D = 2Q decides both
+        signs: Q is a preimage when D = P, and -Q when D = -P, since
+        2(-Q) = -D.
         """
         self._require(P)
         if P.is_infinity:
@@ -196,9 +203,12 @@ class MordellCurve(Value):
             y0 = perfect_square_root(x0**3 + self.k)
             if y0 is None:
                 continue
-            for Q in (CurvePoint(x0, y0), CurvePoint(x0, -y0)):
-                if self._chord(Q, Q) == P:
-                    found.add(Q)
+            Q = CurvePoint(x0, y0)
+            D = self._chord(Q, Q)  # and 2(-Q) = -D, so one tangent settles both signs of y0
+            if D == P:
+                found.add(Q)
+            if D == -P:
+                found.add(-Q)
         return found
 
     # -- search --------------------------------------------------------------

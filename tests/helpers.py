@@ -220,6 +220,22 @@ def _reference_sqrt_attempt(beta, dps: int, height_bound: int):
     return None
 
 
+def reference_alpha(b, x, y):
+    """The coordinates (-x^2/2y, b*x/y, b^2/y) of the element of a point (x, y)
+    of y^2 = x^3 - m*b^3, by Fraction arithmetic on the formula."""
+    b, x, y = Fraction(b), Fraction(x), Fraction(y)
+    return (-x * x / (2 * y), b * x / y, b * b / y)
+
+
+def reference_point(m: int, comps):
+    """(b, x, y) of r + s*w + t*w^2 with 2rt + s^2 = 0 and t != 0 in Q(cbrt(m)):
+    b = -(2rs + m*t^2) and (x, y) = (b*s/t, b^2/t), by Fraction arithmetic."""
+    r, s, t = map(Fraction, comps)
+    assert 2 * r * t + s * s == 0 and t != 0
+    b = -(2 * r * s + m * t * t)
+    return (b, b * s / t, b * b / t)
+
+
 def reference_star(alpha1, alpha2):
     """The star product through witnesses: both operands to checked points,
     the closed chord formulas for a generic b = 1 pair, curve.add and

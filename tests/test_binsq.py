@@ -19,7 +19,7 @@ from purecubic.errors import FieldMismatch, InvalidPoint, NotBinomial, ZeroEleme
 from purecubic.field import CubicElement, CubicField, sqrt_in_field
 from purecubic.mordell import INFINITY, MordellCurve, affine
 
-from helpers import reference_star
+from helpers import reference_alpha, reference_point, reference_star
 
 F2 = CubicField(2)
 F4 = CubicField(4)
@@ -388,7 +388,9 @@ class TestTorsionRemark:
 
 # fields and twist scales of the star and sign-rule properties; every scale has points in some field
 PROPERTY_FIELDS = (2, 3, 7, 26, 113, -2, -7)
-PROPERTY_TWISTS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(-3))
+# (2/3 and -5/4 put numerator and denominator above 1 into the integer maps of binsq)
+PROPERTY_TWISTS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(-3), Fraction(2, 3),
+                   Fraction(-5, 4))
 
 
 @cache
@@ -410,6 +412,15 @@ def outcome(f, a1, a2):
         return f(a1, a2)
     except Exception as exc:  # the exception class is part of what must agree
         return type(exc)
+
+
+def generic_b1(a1, a2) -> bool:
+    """Whether star_parts applies: binomial squares a - w of one field, with distinct x."""
+    return (
+        a1.field == a2.field and a1.t != 0 and a2.t != 0
+        and (a1 * a1).t == (a2 * a2).t == 0
+        and (a1 * a1).s == (a2 * a2).s == -1 and a1.s * a2.t != a2.s * a1.t
+    )
 
 
 def odd_operands(m):
@@ -451,17 +462,41 @@ class TestStarAgainstTheWitnessRoute:
         else:
             event("identity" if a1.t == 0 or a2.t == 0 else "inverse" if a1 == -a2
                   else "tangent" if a1 == a2 else "chord")
-        generic_b1 = (
-            a1.field == a2.field and a1.t != 0 and a2.t != 0
-            and (a1 * a1).s == (a2 * a2).s == -1 and a1.s * a2.t != a2.s * a1.t
-        )
-        if generic_b1:
+        if generic_b1(a1, a2):
             parts = star_parts(a1, a2)
             assert got == a1.field.element(parts.r, parts.s, parts.t)
 
     def test_every_twist_scale_has_points(self):
         for b in PROPERTY_TWISTS:
             assert any(twist_points(m, b) for m in PROPERTY_FIELDS), b
+
+    def test_non_binomial_operand_rejected_where_star_parts_is_not(self):
+        # a2^2 has w-coordinate -1, as for b = 1, but its w^2-coordinate 2rt + s^2 is 145/4: star
+        # rejects the pair, while star_parts, which assumes binomial operands, returns an element
+        a1 = F2.element(Fraction(9, 10), Fraction(-3, 5), Fraction(-1, 5))
+        a2 = F2.element(-9, Fraction(1, 2), -2)
+        assert (a2 * a2).s == -1 and (a2 * a2).t == Fraction(145, 4)
+        for pair in ((a1, a2), (a2, a1)):
+            with pytest.raises(NotBinomial, match=r"^2rt \+ s\^2 = 145/4 != 0$"):
+                star(*pair)
+            assert outcome(reference_star, *pair) is NotBinomial
+        assert isinstance(star_parts(a1, a2), binsq.StarParts)
+        assert not generic_b1(a1, a2) and not generic_b1(a2, a1)
+
+    def test_maps_match_the_formulas(self):
+        # every searched point of every field and twist scale, and its double
+        for m in PROPERTY_FIELDS:
+            K = CubicField(m)
+            for b in PROPERTY_TWISTS:
+                C = MordellCurve.twist(m, b)
+                assert C.k == -m * b**3
+                for P in twist_points(m, b) + tuple(C.double(P) for P in twist_points(m, b)):
+                    w = elem_from_point(K, b, P)
+                    assert w.alpha.components() == reference_alpha(b, P.x, P.y)
+                    assert reference_point(m, w.alpha.components()) == (b, P.x, P.y)
+                    assert point_from_elem(K, w.alpha) == w
+                    # the public constructor re-checks alpha^2 = a - b*w and P on the curve
+                    assert binsq.BinomialSquareWitness(K, b, w.alpha, w.a, P, C) == w
 
 
 class TestSignRule:

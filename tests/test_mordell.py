@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from purecubic import mordell
+from purecubic.arith import IntPoly, perfect_square_root
 from purecubic.errors import InvalidPoint
 from purecubic.mordell import INFINITY, CurvePoint, MordellCurve, affine, x_as_a_over_e2
 
@@ -361,3 +363,53 @@ def test_halving_commutes_with_negation(k, index, n):
     points = C.search(2, 30)
     P = C.scalar_mul(n, points[index % len(points)])
     assert C.halve(-P) == {-Q for Q in C.halve(P)}
+
+
+_BIG = st.integers(-(10**40), 10**40).filter(bool)
+_BIG_RATIONALS = st.one_of(_BIG, st.builds(Fraction, _BIG, st.integers(1, 10**40)))
+
+
+@given(_BIG_RATIONALS, st.one_of(st.just(0), _BIG_RATIONALS))
+@example(Fraction(-2), Fraction(129, 100))
+@example(Fraction(-1, 4), Fraction(1, 2))
+@example(Fraction(3, 8), Fraction(-5, 6))
+@settings(max_examples=300, deadline=None)
+def test_halving_quartic_matches_the_rational_coefficients(k, X):
+    # rungs 5-8 of the halving ladder depend on these exact integers: their end coefficients are factored
+    k, X = Fraction(k), Fraction(X)
+    expected = IntPoly.from_rationals([-4 * k * X, -8 * k, 0, -4 * X, 1])
+    assert MordellCurve(k).halving_quartic(X).coeffs == expected.coeffs
+
+
+def test_halve_runs_one_tangent_per_root(monkeypatch):
+    roots, chords = [], []
+    rational_roots, chord = mordell.rational_roots, MordellCurve._chord
+
+    def recording(p):
+        found = rational_roots(p)
+        roots.extend(found)
+        return found
+
+    def counting(self, P, Q):
+        chords.append((P, Q))
+        return chord(self, P, Q)
+
+    def halve(C, R):
+        roots.clear()
+        chords.clear()
+        halves = C.halve(R)
+        assert all(P == Q for P, Q in chords)  # tangents only
+        assert len(chords) == sum(perfect_square_root(x**3 + C.k) is not None for x in roots)
+        return halves
+
+    monkeypatch.setattr(mordell, "rational_roots", recording)
+    monkeypatch.setattr(MordellCurve, "_chord", counting)
+    tangents = 0
+    for k in (-2, -4, -26, 1, 17, -432):
+        C = MordellCurve(k)
+        for P in C.search(2, 40):
+            for R in (P, C.double(P)):
+                halves = halve(C, R)
+                tangents += len(chords)
+                assert halve(C, -R) == {-Q for Q in halves}
+    assert tangents > 0
