@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import attrgetter
+from operator import attrgetter, index
 
 from .errors import EffortExceeded
 
@@ -297,7 +297,8 @@ def perfect_cube_root(n: int) -> int | None:
 
 
 def cubefree_and_noncube(m: int) -> tuple[bool, bool]:
-    """(is_cubefree, is_cube) flags of m != 0, from its factorization."""
+    """(is_cubefree, is_cube) flags of m != 0, from its factorization. Its one
+    caller is classfield; a CubicField needs only perfect_cube_root(m) is None."""
     if m == 0:
         raise ValueError("m must be nonzero")
     fac = factorize(m)
@@ -316,7 +317,7 @@ class IntPoly(Value):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(int(c) for c in coeffs)
+        cs = tuple(map(index, coeffs))  # TypeError, not truncation, on a non-integer
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         _set(self, "coeffs", cs)

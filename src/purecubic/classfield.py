@@ -10,8 +10,9 @@ field, generated over Q by a root of
 
 Sufficient conditions for that extension to be unramified everywhere
 are tracked as flags: m not congruent to 0 or +-1 mod 9, gcd(a, b) = 1,
-e even, and a positive with a = 1 mod 4. The flags are reported, never
-enforced, so failing examples stay explorable.
+e even, and a positive with a = 1 mod 4. The mod-9 flag reads m, so
+kappa_element checks m cubefree; a field needs only a non-cube m. The
+flags are reported, never enforced, so failing examples stay explorable.
 
 Each report's already_square decides, by one exact halving of the point,
 whether alpha is a square, that is, whether K(sqrt(alpha)) is a proper
@@ -31,7 +32,7 @@ from importlib import resources
 from math import gcd
 from typing import NamedTuple
 
-from .arith import IntPoly, perfect_cube_root, perfect_square_root
+from .arith import IntPoly, cubefree_and_noncube, perfect_cube_root, perfect_square_root
 from .errors import AlphaIsSquare, InvalidPoint
 from .field import CubicElement, CubicField, binomial_minpoly
 from .mordell import CurvePoint, MordellCurve, x_as_a_over_e2
@@ -60,12 +61,15 @@ class KappaReport(NamedTuple):
 def kappa_element(m: int, b: int, P: CurvePoint) -> KappaReport:
     """Build the report for a point on y^2 = x^3 - m*b^3.
 
-    The norm is asserted to be the square of norm_sqrt = |y|*e^3;
+    m must be cubefree (ValueError otherwise, after one factorization of
+    m). The norm is asserted to be the square of norm_sqrt = |y|*e^3;
     eligibility flags are computed but never enforced. already_square
     comes from an exact halving of P; when that halving cannot finish,
     EffortExceeded propagates rather than leaving the question open.
     """
-    field = CubicField(m)  # validates cubefree and non-cube
+    field = CubicField(m)  # rejects a cube m without factoring it
+    if not cubefree_and_noncube(m)[0]:  # eligible_mod9 reads m, so it must be cubefree
+        raise ValueError(f"m = {m} is not cubefree")
     curve = MordellCurve.twist(m, b)  # ValueError for b = 0
     if P.is_infinity:
         raise InvalidPoint("need an affine point")

@@ -1,4 +1,6 @@
-"""Exact arithmetic in the pure cubic field Q(w), w^3 = m.
+"""Exact arithmetic in the pure cubic field Q(w), w^3 = m, for any integer
+m that is not a cube (x^3 - m is then irreducible). Nothing here factors
+m: only the unramified conditions of classfield need it cubefree.
 
 Elements are stored on the basis (1, w, w^2) with rational coordinates;
 the norm and the product work on integer numerators over one common
@@ -17,26 +19,24 @@ no third-party package is used.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .arith import IntPoly, Value, _convergent, _set, cubefree_and_noncube, icbrt, perfect_square_root
+from .arith import IntPoly, Value, _convergent, _set, icbrt, perfect_cube_root, perfect_square_root
 from .errors import FieldMismatch
 
 
 class CubicField(Value):
-    """Q(cbrt(m)) for a cubefree non-cube integer m."""
+    """Q(cbrt(m)) for an integer m (TypeError otherwise) that is not a cube."""
 
     __slots__ = ("m",)
 
     def __init__(self, m: int):
-        m = int(m)
-        _set(self, "m", m)
-        cubefree, cube = cubefree_and_noncube(m)
-        if cube:
+        m = operator.index(m)
+        if perfect_cube_root(m) is not None:
             raise ValueError(f"m = {m} is a perfect cube; the field degenerates")
-        if not cubefree:
-            raise ValueError(f"m = {m} is not cubefree")
+        _set(self, "m", m)
 
     def element(self, r, s=0, t=0) -> "CubicElement":
         return CubicElement(self, r, s, t)

@@ -148,6 +148,13 @@ class TestIntPoly:
         assert p(2) == 0
         assert p(Fraction(1, 2)) == Fraction(80) + 16 - Fraction(20, 8) + Fraction(1, 16)
 
+    def test_non_integer_coefficient_rejected(self):
+        # truncated, [-1/2, 1] would become x, whose root is 0, not 1/2
+        for coeffs in ([Fraction(-1, 2), 1], [0.5, 1], [Fraction(4), 1]):
+            with pytest.raises(TypeError):
+                IntPoly(coeffs)
+        assert rational_roots(IntPoly.from_rationals([Fraction(-1, 2), 1])) == {Fraction(1, 2)}
+
     def test_from_rationals_clears_denominators(self):
         p = IntPoly.from_rationals([Fraction(1, 2), Fraction(2, 3), 1])
         assert p.coeffs == (3, 4, 6)

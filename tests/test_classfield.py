@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from purecubic import arith, classfield
 from purecubic.arith import IntPoly
 from purecubic.classfield import (
     kappa_element,
@@ -56,6 +57,15 @@ class TestKappaElement:
         P = C.scalar_mul(10, C.point(3, 5))
         with pytest.raises(EffortExceeded, match="of 500000 iterations"):
             kappa_element(2, 1, P)
+
+    def test_m_is_factored_once(self, monkeypatch):
+        # CubicField never factors m; the cubefree check is one factorization per report
+        calls = []
+        real = arith.cubefree_and_noncube
+        monkeypatch.setattr(classfield, "cubefree_and_noncube", lambda m: calls.append(m) or real(m))
+        kappa(47, 1, 6, 13)
+        kappa(57, 1, Fraction(4873, 36), Fraction(-340165, 216))
+        assert calls == [47, 57]
 
 
 class TestUnramifiedConditions:

@@ -3,13 +3,16 @@ from math import prod
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from purecubic import arith, field
 from purecubic.arith import icbrt, perfect_square_root
+from purecubic.binsq import elem_from_point, is_square_binomial, point_from_elem, star
+from purecubic.classfield import kappa_element
 from purecubic.errors import FieldMismatch
-from purecubic import field
 from purecubic.field import CubicField, binomial_minpoly, sqrt_in_field
+from purecubic.mordell import MordellCurve, affine
 
 from helpers import naive_elem_mul, naive_elem_square, naive_norm, reference_sqrt_in_field
 
@@ -22,14 +25,23 @@ elems2 = st.tuples(rats, rats, rats).map(lambda c: F2.element(*c))
 
 class TestFieldConstruction:
     def test_cube_rejected(self):
-        with pytest.raises(ValueError):
-            CubicField(8)
-        with pytest.raises(ValueError):
-            CubicField(1)
+        for m in (8, 1, -1, 0, -27):
+            with pytest.raises(ValueError, match="perfect cube"):
+                CubicField(m)
+
+    def test_non_integer_rejected(self):
+        # truncated, they would build Q(cbrt(2)) and Q(cbrt(3))
+        for m in (2.5, Fraction(7, 2)):
+            with pytest.raises(TypeError):
+                CubicField(m)
 
     def test_non_cubefree_rejected(self):
-        with pytest.raises(ValueError):
-            CubicField(16)
+        # a field needs only a non-cube m; the cubefree requirement is kappa_element's
+        assert CubicField(16).m == 16
+        with pytest.raises(ValueError, match="not cubefree"):
+            kappa_element(16, -1, affine(0, 4))  # on y^2 = x^3 + 16
+        with pytest.raises(ValueError, match="not cubefree"):
+            kappa_element(54, 1, affine(7, 17))  # on y^2 = x^3 - 54
 
     def test_negative_allowed(self):
         assert CubicField(-4).m == -4
@@ -328,3 +340,68 @@ class TestBinomialMinpoly:
         assert all(isinstance(c, int) for c in p.coeffs)
         alpha = F2.element(Fraction(129, 100), -1, 0)
         assert p(alpha) == F2.element(0)
+
+
+@pytest.mark.parametrize("m", [16, 54, 10**30 + 57])
+def test_field_and_binsq_never_factor_m(m, monkeypatch):
+    calls = []
+    real = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda n, *rest: calls.append(n) or real(n, *rest))
+    K = CubicField(m)
+    gamma = K.element(Fraction(3, 7), -2, Fraction(5, 4))
+    beta = gamma * gamma
+    assert beta.norm() == gamma.norm() ** 2
+    assert sqrt_in_field(beta) == gamma.positive_embedding()
+    alpha = K.element(Fraction(-1, 2), 1, 1)  # 2rt + s^2 = 0, so alpha^2 = a - b*w
+    witness = point_from_elem(K, alpha)
+    assert elem_from_point(K, witness.b, witness.point).alpha == alpha
+    assert point_from_elem(K, star(alpha, alpha)).point == -witness.curve.double(witness.point)
+    assert calls == []
+
+
+# Q(cbrt(c^3*m0)) is Q(cbrt(m0)) with w = c*w0, so answers must agree across that isomorphism
+small = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+nonzero_small = small.filter(bool)
+rescaled = st.tuples(st.sampled_from((F2.m, F26.m)), st.sampled_from((2, 3, 5)))
+
+
+def _image(m0, c, alpha):
+    """alpha of Q(cbrt(c^3*m0)) in Q(cbrt(m0)), by w -> c*w0."""
+    return CubicField(m0).element(alpha.r, c * alpha.s, c * c * alpha.t)
+
+
+class TestCubeFactorOfM:
+    @given(rescaled, small, small, small)
+    @settings(max_examples=80, deadline=None)
+    def test_sqrt_in_field_of_planted_squares(self, mc, r, s, t):
+        m0, c = mc
+        gamma = CubicField(c**3 * m0).element(r, s, t)
+        assume(not gamma.is_zero())
+        root = sqrt_in_field(gamma * gamma)
+        assert root == gamma.positive_embedding()
+        assert sqrt_in_field(_image(m0, c, gamma * gamma)) == _image(m0, c, root)
+
+    @given(rescaled, small, nonzero_small)
+    @settings(max_examples=80, deadline=None)
+    def test_square_decision_agrees(self, mc, a, b):
+        m0, c = mc
+        root = is_square_binomial(CubicField(c**3 * m0), a, b)
+        other = is_square_binomial(CubicField(m0), a, b * c)
+        assert other == (None if root is None else _image(m0, c, root))
+
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    @pytest.mark.parametrize("m0, Q", [(26, (3, 1)), (26, (35, 207)), (26, (Fraction(17, 4), Fraction(57, 8)))])
+    def test_square_decision_on_doubled_points(self, m0, Q, c):
+        # x(2Q) - w0 is a square in Q(cbrt(m0)), so x(2Q) - (1/c)*w is one in Q(cbrt(c^3*m0))
+        x = MordellCurve(-m0).double(affine(*Q)).x
+        root = is_square_binomial(CubicField(c**3 * m0), x, Fraction(1, c))
+        assert root is not None and root * root == root.field.element(x, Fraction(-1, c))
+        assert is_square_binomial(CubicField(m0), x, 1) == _image(m0, c, root)
+
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    def test_paper_point_root(self, c):
+        # the same for Q = (3, 5) on y^2 = x^3 - 2, with the roots written out
+        x = MordellCurve(-2).double(affine(3, 5)).x
+        root = is_square_binomial(CubicField(2 * c**3), x, Fraction(1, c))
+        assert root == CubicField(2 * c**3).element(Fraction(-9, 10), Fraction(3, 5 * c), Fraction(1, 5 * c * c))
+        assert _image(2, c, root) == F2.element(Fraction(-9, 10), Fraction(3, 5), Fraction(1, 5))
