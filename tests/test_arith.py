@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy
@@ -183,6 +184,12 @@ class TestRationalRoots:
     def test_zero_root_stripped_first(self):
         assert rational_roots(IntPoly((0, 0, -1, 1))) == {0, 1}
 
+    def test_degree_6_with_thousands_of_divisors(self):
+        # end coefficients with 15,552 and 6,720 divisors; the roots are sympy.roots(filter="Q")'s
+        coeffs = (10729424405700000, 10060277507280000, -25022455085628000, -19135758925483200,
+                  10379675368782720, 11098911556212480, 2273167300884480)
+        assert rational_roots(IntPoly(coeffs)) == {Fraction(-5, 8), Fraction(31, 33), Fraction(-45, 22)}
+
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
             rational_roots(IntPoly(()))
@@ -340,9 +347,11 @@ def _planted_poly(draw) -> list[int]:
 
     The scales include the highly composite 720720 (240 divisors) and
     negative numbers, so the end coefficients can carry hundreds of
-    divisors and the leading coefficient takes either sign."""
+    divisors and the leading coefficient takes either sign. The product
+    of the sieve primes divides both end coefficients, so rational_roots
+    finds no sieve prime and tries every divisor pair."""
     cofactor = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=4).filter(any))
-    scale = draw(st.sampled_from([1, -1, 6, -12, 720720, -720720]))
+    scale = draw(st.sampled_from([1, -1, 6, -12, 720720, -720720, prod(arith._SIEVE_PRIMES)]))
     coeffs = [scale * c for c in cofactor]
     for root, multiplicity in draw(st.lists(st.tuples(_planted_root, st.integers(1, 2)), max_size=3)):
         for _ in range(multiplicity):
@@ -375,6 +384,9 @@ def test_rational_roots_match_sympy(coeffs):
     ((-1, 0, 1), {Fraction(1), Fraction(-1)}),  # f(1) = f(-1) = 0
     ((1, -2, 1), {Fraction(1)}),  # (x - 1)^2
     ((0, 0, 0, -5), {Fraction(0)}),
+    ((7, 720727, 720720), {Fraction(-7, 720720), Fraction(-1)}),  # c_d has more divisors than c_0
+    # 6(x - 2)(x - 13)(x + 9): the three roots share the one class 2 mod 11, the only sieve prime
+    ((1404, -654, -36, 6), {Fraction(2), Fraction(13), Fraction(-9)}),
 ])
 def test_rational_roots_edge_cases(coeffs, roots):
     assert rational_roots(IntPoly(coeffs)) == roots

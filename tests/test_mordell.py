@@ -328,6 +328,18 @@ def test_halve_the_21_digit_rung():
     assert C.halve(C.double(P3)) == {P3}
 
 
+def test_halve_the_38_digit_rung():
+    # x(8P) has a 38-digit numerator; its only half is 4P
+    C = MordellCurve(-2)
+    R = C.point(
+        Fraction(30037088724630450803382035538503505921, 3010683982898763071786842993779918400),
+        Fraction(164455721751979625643914376686667695661898155872010593281,
+                 5223934923525719974563641453744978655831227509874752000),
+    )
+    assert R == C.scalar_mul(8, affine(3, 5))
+    assert C.halve(R) == {affine(Fraction(2340922881, 58675600), Fraction(113259286337279, 449455096000))}
+
+
 # two primes whose 41-digit product Pollard rho cannot split within the default budget
 _P20, _Q20 = 10**20 + 39, 10**20 + 129
 
