@@ -3,10 +3,11 @@
 Everything downstream leans on four primitives implemented here:
 exact factorization with an explicit effort budget (trial division,
 then a Pollard rho that takes one gcd per block of steps), perfect-square
-detection for rationals, rational roots of integer polynomials (end
-coefficient divisors matched by their residues modulo small primes, cut
-at Cauchy's bound and filtered by Gauss's lemma), and reconstruction of
-a rational from a high-precision real approximation.
+detection for rationals, rational roots of integer polynomials (each
+numerator dividing the constant term is matched to its one possible
+denominator by the polynomial's roots modulo a small prime, lifted by
+Newton steps), and reconstruction of a rational from a high-precision
+real approximation.
 
 Rationals are plain ``fractions.Fraction`` values (always reduced,
 positive denominator).
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import attrgetter, index
 
 from .errors import EffortExceeded
@@ -78,10 +79,7 @@ _RHO_BLOCK = 64
 # strong-pseudoprime bases that make Miller-Rabin deterministic below
 # _CERTIFIED_BOUND (covers all 64-bit integers with a wide margin).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# From 11 on, they are also rational_roots' sieve primes: larger primes
-# reach the sieve's modulus with fewer factors, and each factor multiplies
-# the number of root classes by the roots it has mod its prime.
-_SIEVE_PRIMES = _MR_BASES[4:]
+# Past the last of them, rational_roots seeks its prime on the squarefree part.
 _CERTIFIED_BOUND = 3_317_044_064_679_887_385_961_981
 
 
@@ -375,31 +373,26 @@ class IntPoly(Value):
 
 
 def rational_roots(p: IntPoly) -> set[Fraction]:
-    """All rational roots of a nonzero integer polynomial.
+    """All rational roots of a nonzero integer polynomial f.
 
-    Strips powers of x first (recording the root 0), then looks for
-    roots +-num/den in lowest terms, num dividing the constant term c_0
-    and den the leading coefficient c_d, up to Cauchy's bound
-    |x| < 1 + max|c_i|/|c_d|. When c_d has more divisors than c_0 the
-    coefficients are reversed and the reciprocals of the roots found are
-    returned, so the outer loop runs over the shorter divisor list.
+    Strips powers of x first (recording the root 0), then finds the roots
+    p/q in lowest terms (q > 0), p | c_0 and q | c_d. When c_d has fewer
+    divisors than c_0 the coefficients are reversed and the reciprocals of
+    the roots found are returned, so the numerators run over the shorter
+    divisor list.
 
-    The candidates are sieved by residue class. Let M be the product of
-    the sieve primes l, _SIEVE_PRIMES that divide neither end coefficient
-    (_root_classes says how many are taken). A root p/q in lowest terms
-    has p | c_0 and q | c_d, so l divides neither p nor q, and
-    F(p, q) = sum c_i * p^i * q^(d-i) = 0 makes p/q mod l a root of
-    f mod l; by the CRT, p = q*z (mod M) for a root z of f mod M. So
-    +num/den is tried only when num = den*z, and -num/den only when
-    num = -den*z (mod M), for some such z, and no root is lost. With no
-    sieve prime M = 1 and every divisor pair is tried; when f has no
-    root mod some l it has no nonzero rational root.
-
-    By Gauss's lemma a root p/q gives f = (q*x - p)*g with g integral,
-    so (q - p) divides f(1) and (q + p) divides f(-1); a candidate
-    passing both tests is verified exactly with the homogenised sum of
-    c_i * p^i * q^(d-i). Raises EffortExceeded when factorize cannot
-    split an end coefficient.
+    Each numerator gets its one possible denominator from a p-adic lift.
+    Take the first prime l dividing neither end coefficient at which every
+    root z of f mod l is simple; past _MR_BASES, f is first replaced by its
+    primitive squarefree part, which has the same roots, all simple, so
+    some l qualifies. No root mod l means no nonzero rational root. Newton
+    steps lift each z to Z with f(Z) = 0 mod L = l^(2^j) > |c_d|. For each
+    numerator +-p, q = p/Z mod L is kept when q | c_d, gcd(p, q) = 1 and
+    the homogenised sum of c_i * p^i * q^(d-i) is exactly 0. No root is
+    lost: a root p/q has l dividing neither p nor q, so p/q = z (mod l)
+    for a simple root z, and by Hensel's uniqueness Z is the only l-adic
+    root above z; so p = q*Z (mod L), and 0 < q <= |c_d| < L fixes q.
+    Raises EffortExceeded when factorize cannot split an end coefficient.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every rational as a root")
@@ -410,18 +403,32 @@ def rational_roots(p: IntPoly) -> set[Fraction]:
         cs = cs[1:]
     if len(cs) == 1:
         return roots
-    num_divs = factorize(cs[0]).divisors()
-    den_divs = factorize(cs[-1]).divisors()
-    flip = len(den_divs) > len(num_divs)
+    num_fac = factorize(cs[0])
+    den_fac = factorize(cs[-1])
+    flip = prod(e + 1 for _, e in den_fac) < prod(e + 1 for _, e in num_fac)
     if flip:  # the roots of x^d * f(1/x) are the reciprocals of f's nonzero roots
         cs.reverse()
-        num_divs, den_divs = den_divs, num_divs
-    residues, modulus = _root_classes(cs, len(num_divs), len(den_divs))
-    if not residues:
-        return roots
-    cauchy = 2 + max(abs(c) for c in cs[:-1]) // abs(cs[-1])
-    f1 = sum(cs)
-    fm1 = sum(cs[0::2]) - sum(cs[1::2])
+        num_fac = den_fac
+    ell, squarefree = 1, False
+    while True:
+        ell += 1
+        if not certified_prime(ell):
+            continue
+        if ell > _MR_BASES[-1] and not squarefree:
+            cs, squarefree = _squarefree_part(cs), True
+        if cs[0] % ell == 0 or cs[-1] % ell == 0:
+            continue
+        lifts = [z for z in range(ell) if _value_mod(cs, z, ell) == 0]
+        if not lifts:
+            return roots
+        dcs = [i * c for i, c in enumerate(cs)][1:]
+        if all(_value_mod(dcs, z, ell) for z in lifts):
+            break
+    modulus = ell
+    while modulus <= abs(cs[-1]):
+        modulus *= modulus
+        lifts = [(z - _value_mod(cs, z, modulus) * pow(_value_mod(dcs, z, modulus), -1, modulus)) % modulus
+                 for z in lifts]
     tail = cs[-2::-1]  # c_(d-1), ..., c_0
 
     def is_root(num: int, den: int) -> bool:
@@ -431,58 +438,50 @@ def rational_roots(p: IntPoly) -> set[Fraction]:
             acc = acc * num + c * den_pow
         return acc == 0
 
-    classes: dict[int, list[int]] = {}
-    for nm in num_divs:
-        classes.setdefault(nm % modulus, []).append(nm)
     found = set()
-    for dn in den_divs:
-        # +nm/dn is tried when nm's class is in plus, -nm/dn when -nm's is
-        plus = {dn * z % modulus for z in residues}
-        for key in plus | {-k % modulus for k in plus}:
-            pos, neg = key in plus, -key % modulus in plus
-            for nm in classes.get(key, ()):
-                if nm >= dn * cauchy:
-                    break
-                if gcd(nm, dn) != 1:
-                    continue
-                # q - p and q + p for p/q = nm/dn are (dn - nm, dn + nm); for -nm/dn, swapped
-                lo, hi = dn - nm, dn + nm
-                if pos and fm1 % hi == 0 and _divides(lo, f1) and is_root(nm, dn):
-                    found.add(Fraction(nm, dn))
-                if neg and f1 % hi == 0 and _divides(lo, fm1) and is_root(-nm, dn):
-                    found.add(Fraction(-nm, dn))
+    inverses = [pow(z, -1, modulus) for z in lifts]
+    for nm in num_fac.divisors():
+        if cs[0] % nm:  # only past the squarefree step, whose c_0 divides the old one
+            continue
+        for num in (nm, -nm):
+            for inverse in inverses:
+                dn = num * inverse % modulus
+                if cs[-1] % dn == 0 and gcd(nm, dn) == 1 and is_root(num, dn):
+                    found.add(Fraction(num, dn))
     return roots | ({1 / r for r in found} if flip else found)
 
 
-def _root_classes(cs: list[int], inner: int, outer: int) -> tuple[list[int], int]:
-    """(residues, M): the roots mod M of the polynomial with coefficients cs, M the
-    product of the _SIEVE_PRIMES that divide neither end coefficient, taken in
-    order until 2*M >= inner, the length of the bucketed divisor list, or until
-    the ell*(d+1) Horner steps of the next prime would reach outer*inner/M, the
-    divisor pairs left per class. The residues are empty when the polynomial has
-    no root mod one of them, and ([0], 1) when no prime is taken."""
-    residues, modulus = [0], 1
-    for ell in _SIEVE_PRIMES:
-        if 2 * modulus >= inner or ell * len(cs) * modulus >= outer * inner:
-            break
-        if cs[0] % ell == 0 or cs[-1] % ell == 0:
-            continue
-        values = [cs[-1] % ell] * ell  # Horner at z = 0, ..., ell - 1 side by side
-        for c in cs[-2::-1]:
-            values = [(v * z + c) % ell for z, v in enumerate(values)]
-        roots_mod = [z for z, v in enumerate(values) if v == 0]
-        # CRT: the lift of (z mod modulus, r mod ell) is z + modulus*((r - z)/modulus mod ell)
-        inv = pow(modulus, -1, ell)
-        residues = [z + modulus * ((r - z) * inv % ell) for z in residues for r in roots_mod]
-        modulus *= ell
-        if not residues:
-            break
-    return residues, modulus
+def _value_mod(cs: list[int], x: int, modulus: int) -> int:
+    """The polynomial with coefficients cs (ascending) at x, mod modulus."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % modulus
+    return acc
 
 
-def _divides(d: int, n: int) -> bool:
-    """d | n, where 0 divides only 0."""
-    return n % d == 0 if d else n == 0
+def _squarefree_part(cs: list[int]) -> list[int]:
+    """The primitive squarefree part f / gcd(f, f'), up to sign, of the integer
+    polynomial f with coefficients cs (ascending), by Euclid's algorithm over Q."""
+    f = [Fraction(c) for c in cs]
+    a, b = f, [i * c for i, c in enumerate(f)][1:]
+    while b:
+        a, b = b, _divmod_poly(a, b)[1]
+    g = IntPoly.from_rationals(_divmod_poly(f, a)[0]).coeffs
+    content = gcd(*g)
+    return [c // content for c in g]
+
+
+def _divmod_poly(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """(q, r) with a = q*b + r and deg r < deg b, coefficients ascending, b[-1] != 0.
+    q gets one coefficient per step, zero or not; r has no trailing zeros."""
+    q, r = [], list(a)
+    for k in range(len(a) - len(b), -1, -1):  # r has degree k + deg b here
+        c = r[-1] / b[-1]
+        q.insert(0, c)
+        r = r[:k] + [x - c * y for x, y in zip(r[k:-1], b)]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
 
 
 def _exact_binary(x) -> tuple[int, int]:

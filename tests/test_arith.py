@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import prod
 
 import pytest
 import sympy
@@ -343,17 +342,18 @@ _planted_root = st.one_of(
 
 @st.composite
 def _planted_poly(draw) -> list[int]:
-    """A scaled cofactor times (q*x - p)^k for up to three planted roots p/q.
+    """A scaled cofactor times (q*x - p)^k, k <= 3, for up to three planted roots p/q.
 
     The scales include the highly composite 720720 (240 divisors) and
     negative numbers, so the end coefficients can carry hundreds of
-    divisors and the leading coefficient takes either sign. The product
-    of the sieve primes divides both end coefficients, so rational_roots
-    finds no sieve prime and tries every divisor pair."""
+    divisors and the leading coefficient takes either sign. The scale
+    2*3*...*37 divides both end coefficients, so rational_roots passes
+    every prime up to 37 and takes the squarefree part, of which planted
+    double and triple roots make a proper factor."""
     cofactor = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=4).filter(any))
-    scale = draw(st.sampled_from([1, -1, 6, -12, 720720, -720720, prod(arith._SIEVE_PRIMES)]))
+    scale = draw(st.sampled_from([1, -1, 6, -12, 720720, -720720, 35336848261, 7420738134810]))
     coeffs = [scale * c for c in cofactor]
-    for root, multiplicity in draw(st.lists(st.tuples(_planted_root, st.integers(1, 2)), max_size=3)):
+    for root, multiplicity in draw(st.lists(st.tuples(_planted_root, st.integers(1, 3)), max_size=3)):
         for _ in range(multiplicity):
             coeffs = _times_linear(coeffs, root.denominator, root.numerator)
     while coeffs[-1] == 0:
@@ -374,8 +374,11 @@ def test_rational_roots_match_sympy(coeffs):
     assert small == brute_rational_roots(coeffs, height)
 
 
+_SCALED_QUADRATIC = [12 * 35336848261 * c for c in (30, -7, 12)]
+
+
 @pytest.mark.parametrize("coeffs, roots", [
-    ((-(10**9 + 7), 1), {Fraction(10**9 + 7)}),  # root c0 at Cauchy's bound 2 + c0
+    ((-(10**9 + 7), 1), {Fraction(10**9 + 7)}),  # the root is c_0 itself
     ((10**9 + 7, 3), {Fraction(-(10**9 + 7), 3)}),
     ((-(2**61 - 1), 720720), {Fraction(2**61 - 1, 720720)}),
     ((-(10**6 + 1), -(10**6), 1), {Fraction(10**6 + 1), Fraction(-1)}),  # (x - (M + 1))(x + 1)
@@ -385,11 +388,33 @@ def test_rational_roots_match_sympy(coeffs):
     ((1, -2, 1), {Fraction(1)}),  # (x - 1)^2
     ((0, 0, 0, -5), {Fraction(0)}),
     ((7, 720727, 720720), {Fraction(-7, 720720), Fraction(-1)}),  # c_d has more divisors than c_0
-    # 6(x - 2)(x - 13)(x + 9): the three roots share the one class 2 mod 11, the only sieve prime
+    # 6(x - 2)(x - 13)(x + 9): the three roots share the one class 2 mod 11
     ((1404, -654, -36, 6), {Fraction(2), Fraction(13), Fraction(-9)}),
+    # 2450(x + 1)^2(11x + 15)(...) and -720720(5x + 9)^3(...): every prime up to 37 divides an end
+    # coefficient or meets the repeated root, so the prime comes from the squarefree part
+    ((183750, -526750, -2432850, -1722350, 1474900, 2121700, 646800), {Fraction(-1), Fraction(-15, 11)}),
+    ((10508097600, 31699427760, 42830227440, 25445019600, 2432430000, -3243240000, -900900000),
+     {Fraction(-9, 5)}),
+    # 12*11*13*...*37 * (30 - 7x + 12x^2), with and without (19x + 29)(13x - 30): 6,144 x 3,840
+    # and 12,288 x 5,184 divisors
+    (_SCALED_QUADRATIC, set()),
+    (_times_linear(_times_linear(_SCALED_QUADRATIC, 19, -29), 13, 30), {Fraction(-29, 19), Fraction(30, 13)}),
 ])
 def test_rational_roots_edge_cases(coeffs, roots):
     assert rational_roots(IntPoly(coeffs)) == roots
+
+
+@pytest.mark.parametrize("coeffs, ends", [
+    ((7, 720727, 720720), (7, 720720)),  # c_d has more divisors: the direct path
+    ((1404, -654, -36, 6), (1404, 6)),  # c_d has fewer: the reversed path
+    ((0, 0, 1404, -654, -36, 6), (1404, 6)),  # x^2 is stripped first
+])
+def test_rational_roots_factors_c0_then_cd(monkeypatch, coeffs, ends):
+    calls = []
+    real = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda n, *rest: calls.append(n) or real(n, *rest))
+    rational_roots(IntPoly(coeffs))
+    assert tuple(calls) == ends
 
 
 def test_factorize_rejects_a_negative_budget():
