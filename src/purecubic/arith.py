@@ -1,13 +1,13 @@
 """Arbitrary-precision integer and rational kernels.
 
 Everything downstream leans on four primitives implemented here:
-exact factorization with an explicit effort budget (trial division,
-then a Pollard rho that takes one gcd per block of steps), perfect-square
-detection for rationals, rational roots of integer polynomials (each
-numerator dividing the constant term is matched to its one possible
-denominator by the polynomial's roots modulo a small prime, lifted by
-Newton steps), and reconstruction of a rational from a high-precision
-real approximation.
+exact factorization with an explicit effort budget (the primes below
+10^4 found by one gcd per block of them, then a Pollard rho that takes
+one gcd per block of steps), perfect-square detection for rationals,
+rational roots of integer polynomials (each numerator dividing the
+constant term is matched to its one possible denominator by the
+polynomial's roots modulo a small prime, lifted by Newton steps), and
+reconstruction of a rational from a high-precision real approximation.
 
 Rationals are plain ``fractions.Fraction`` values (always reduced,
 positive denominator).
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
+from itertools import compress
 from math import gcd, isqrt, lcm, prod
 from operator import attrgetter, index
 
@@ -72,6 +74,9 @@ DEFAULT_EFFORT = 500_000
 
 _TRIAL_BOUND = 10_000
 
+# Consecutive primes per gcd of factorize's trial stage.
+_TRIAL_BLOCK = 16
+
 # Pollard rho steps per gcd of the product of differences.
 _RHO_BLOCK = 64
 
@@ -81,6 +86,20 @@ _RHO_BLOCK = 64
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Past the last of them, rational_roots seeks its prime on the squarefree part.
 _CERTIFIED_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+@cache
+def _trial_blocks() -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(product, primes) of each run of _TRIAL_BLOCK consecutive primes up to
+    _TRIAL_BOUND, ascending, from a sieve built on first use, not at import."""
+    sieve = bytearray([1]) * (_TRIAL_BOUND + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(_TRIAL_BOUND) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, _TRIAL_BOUND + 1, p)))
+    primes = list(compress(range(_TRIAL_BOUND + 1), sieve))
+    runs = (tuple(primes[i : i + _TRIAL_BLOCK]) for i in range(0, len(primes), _TRIAL_BLOCK))
+    return tuple((prod(run), run) for run in runs)
 
 
 def _miller_rabin_witness(n: int, a: int) -> bool:
@@ -105,8 +124,9 @@ def certified_prime(n: int) -> bool:
 
     Raises EffortExceeded for n at or beyond the certified Miller-Rabin
     range when no compositeness witness is found, rather than reporting
-    a probable prime as prime.
+    a probable prime as prime. A non-integer n raises TypeError.
     """
+    n = index(n)
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -209,12 +229,19 @@ class Factorization(Value):
 def factorize(n: int, effort_bound: int = DEFAULT_EFFORT) -> Factorization:
     """Exact factorization of n != 0.
 
-    Trial division up to a fixed bound, then Pollard rho on remaining
-    cofactors. effort_bound counts rho iterations only; the Miller-Rabin
-    test that certifies a cofactor prime is not bounded by it. Raises
-    EffortExceeded if a cofactor cannot be split within the budget or
-    certified prime; never returns a pseudo-prime.
+    The primes up to _TRIAL_BOUND are found first, one gcd of n with the
+    product of each block of _TRIAL_BLOCK consecutive primes, in ascending
+    order; only a block whose gcd is not 1 is divided out prime by prime,
+    and the stage stops at the first block whose least prime p has
+    p*p > n. The table of blocks is sieved once, on the first call.
+    Pollard rho then splits the remaining cofactors. effort_bound counts
+    rho iterations only; the Miller-Rabin test that certifies a cofactor
+    prime is not bounded by it. Raises EffortExceeded if a cofactor cannot
+    be split within the budget or certified prime; never returns a
+    pseudo-prime. A non-integer n or effort_bound raises TypeError.
     """
+    n = index(n)
+    effort_bound = index(effort_bound)
     if n == 0:
         raise ValueError("cannot factor 0")
     if effort_bound < 0:
@@ -224,16 +251,15 @@ def factorize(n: int, effort_bound: int = DEFAULT_EFFORT) -> Factorization:
     n = abs(n)
     powers: dict[int, int] = {}
 
-    for p in (2, 3, 5):
-        while n % p == 0:
-            powers[p] = powers.get(p, 0) + 1
-            n //= p
-    d = 7
-    while d <= _TRIAL_BOUND and d * d <= n:
-        while n % d == 0:
-            powers[d] = powers.get(d, 0) + 1
-            n //= d
-        d += 2
+    for product, primes in _trial_blocks():
+        if primes[0] * primes[0] > n:
+            break
+        if gcd(n, product) == 1:
+            continue
+        for p in primes:
+            while n % p == 0:
+                powers[p] = powers.get(p, 0) + 1
+                n //= p
 
     budget = effort_bound
     stack = [n] if n > 1 else []

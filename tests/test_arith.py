@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy
@@ -444,3 +445,51 @@ def test_rung5_constant_coefficient_still_exceeds_the_budget():
     quartic = curve.halving_quartic(curve.double(curve.scalar_mul(5, P)).x)
     with pytest.raises(EffortExceeded, match=r"^rho: 500000 of 500000 iterations, cofactor of 36 digits$"):
         factorize(quartic.coeffs[0])
+    with pytest.raises(EffortExceeded, match=r"^rho: 1000 of 1000 iterations, cofactor of 43 digits$"):
+        factorize(quartic.coeffs[0], effort_bound=1000)
+
+
+# primes either side of the trial bound 10^4, and one near 10^5
+_NEAR_TRIAL_BOUND = (9967, 9973, 10007, 10009, 99991)
+
+
+@given(st.lists(st.tuples(st.sampled_from(_NEAR_TRIAL_BOUND + tuple(sympy.primerange(100))), st.integers(1, 5)),
+                max_size=5),
+       st.sampled_from([1, -1]))
+@settings(max_examples=200, deadline=None)
+def test_factorize_matches_trial_division_around_the_trial_bound(prime_powers, sign):
+    n = sign * prod(p**e for p, e in prime_powers)
+    fac = factorize(n)
+    assert fac.sign == sign
+    assert dict(fac.prime_powers) == trial_factorize(n)
+
+
+@pytest.mark.parametrize("n, prime_powers, cofactor_tested", [
+    (1, (), None),
+    (-1, (), None),
+    (9973**2, ((9973, 2),), None),
+    (9973 * 10007, ((9973, 1), (10007, 1)), None),
+    (10007**2, ((10007, 2),), 10007**2),  # a composite cofactor above 10^8: Miller-Rabin, then rho
+    (2 * 99991, ((2, 1), (99991, 1)), None),  # a prime cofactor below 10^8 needs no Miller-Rabin
+    (2**64 * 3**40 * 9973**3, ((2, 64), (3, 40), (9973, 3)), None),
+])
+def test_factorize_trial_stage_edges(monkeypatch, n, prime_powers, cofactor_tested):
+    tested, split = [], []
+    real_prime, real_rho = arith.certified_prime, arith._rho_split
+    monkeypatch.setattr(arith, "certified_prime", lambda c: tested.append(c) or real_prime(c))
+    monkeypatch.setattr(arith, "_rho_split", lambda c, budget: split.append(c) or real_rho(c, budget))
+    assert factorize(n) == Factorization(1 if n > 0 else -1, prime_powers)
+    expected = [] if cofactor_tested is None else [cofactor_tested]
+    assert tested == expected and split == expected
+
+
+@pytest.mark.parametrize("function, args", [
+    (factorize, (12.5,)),
+    (factorize, (12.0,)),
+    (factorize, (1e20,)),
+    (factorize, (12, 10.0)),
+    (certified_prime, (7.0,)),
+], ids=["factorize-12.5", "factorize-12.0", "factorize-1e20", "budget-10.0", "certified_prime-7.0"])
+def test_non_integers_raise_type_error(function, args):
+    with pytest.raises(TypeError):
+        function(*args)
