@@ -27,6 +27,7 @@ table1_verify() checks the bundled reference dataset of such rows
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
 from importlib import resources
 from math import gcd
@@ -38,8 +39,12 @@ from .field import CubicElement, CubicField, binomial_minpoly
 from .mordell import CurvePoint, MordellCurve, x_as_a_over_e2
 
 
+# the four sufficient conditions for K(sqrt(alpha))/K to be unramified
+_CONDITIONS = ("eligible_mod9", "gcd_ab_ok", "two_divides_e", "a_pos_1mod4")
+
+
 class KappaReport(NamedTuple):
-    """The element a - b*e^2*w attached to a curve point, with all checks."""
+    """The element a - b*e^2*w of a curve point; kappa_element fills in every check."""
 
     m: int
     b: int
@@ -62,13 +67,16 @@ def kappa_element(m: int, b: int, P: CurvePoint) -> KappaReport:
     """Build the report for a point on y^2 = x^3 - m*b^3.
 
     m must be cubefree (ValueError otherwise, after one factorization of
-    m). The norm is asserted to be the square of norm_sqrt = |y|*e^3;
-    eligibility flags are computed but never enforced. already_square
-    comes from an exact halving of P; when that halving cannot finish,
-    EffortExceeded propagates rather than leaving the question open.
+    m) and b an integer (TypeError, before any factoring or halving).
+    The norm is asserted to be the square of norm_sqrt = |y|*e^3. The
+    flags are never enforced; the report arrives with claims_unramified
+    already set. already_square comes from an exact halving of P; when
+    that halving cannot finish, EffortExceeded propagates rather than
+    leaving the question open.
     """
     field = CubicField(m)  # rejects a cube m without factoring it
-    if not cubefree_and_noncube(m)[0]:  # eligible_mod9 reads m, so it must be cubefree
+    b = operator.index(b)
+    if not cubefree_and_noncube(m)[0]:  # the mod-9 condition reads m, so it must be cubefree
         raise ValueError(f"m = {m} is not cubefree")
     curve = MordellCurve.twist(m, b)  # ValueError for b = 0
     if P.is_infinity:
@@ -82,7 +90,7 @@ def kappa_element(m: int, b: int, P: CurvePoint) -> KappaReport:
     # the minimal cubic of alpha, evaluated at x^2
     cubic = binomial_minpoly(a, b * e * e, field)
     sextic = IntPoly(c for coeff in cubic.coeffs for c in (coeff, 0))
-    return KappaReport(
+    return unramified_conditions(KappaReport(
         m=m,
         b=b,
         point=P,
@@ -97,18 +105,12 @@ def kappa_element(m: int, b: int, P: CurvePoint) -> KappaReport:
         a_pos_1mod4=a > 0 and a % 4 == 1,
         sextic=sextic,
         already_square=already_square,
-    )
+    ))
 
 
 def unramified_conditions(report: KappaReport) -> KappaReport:
-    """Fill the combined claims_unramified flag from the individual ones."""
-    claims = (
-        report.eligible_mod9
-        and report.gcd_ab_ok
-        and report.two_divides_e
-        and report.a_pos_1mod4
-    )
-    return report._replace(claims_unramified=claims)
+    """The report with claims_unramified = all(_CONDITIONS); a kappa_element report is unchanged."""
+    return report._replace(claims_unramified=all(getattr(report, f) for f in _CONDITIONS))
 
 
 def sqrt_ext_minpoly(report: KappaReport) -> IntPoly:
@@ -202,10 +204,8 @@ def table1_verify(path: str | None = None) -> Table1Result:
         if cube is None:
             raise ValueError(f"{name}: k = {k} is not -field_m * b^3")
         b = cube
-        y2 = x**3 + k
-        y = perfect_square_root(y2)
-        on_curve = y is not None
-        if not on_curve:
+        y = perfect_square_root(x**3 + k)
+        if y is None:
             # cannot even build the point; record the failure and move on
             rows.append(
                 Table1Row(
@@ -216,8 +216,7 @@ def table1_verify(path: str | None = None) -> Table1Result:
                 )
             )
             continue
-        P = CurvePoint(x, y)
-        report = unramified_conditions(kappa_element(field_m, b, P))
+        report = kappa_element(field_m, b, CurvePoint(x, y))
         want_a = _row_int(raw, "alpha_a", name)
         want_coeff = _row_int(raw, "alpha_b_coeff", name)
         got_coeff = -report.b * report.e**2
@@ -226,13 +225,7 @@ def table1_verify(path: str | None = None) -> Table1Result:
         printed_alpha_match = (
             printed is None or _row_int(raw, "alpha_b_coeff_printed", name) == got_coeff
         )
-        flags = {
-            "eligible_mod9": report.eligible_mod9,
-            "gcd_ab_ok": report.gcd_ab_ok,
-            "two_divides_e": report.two_divides_e,
-            "a_pos_1mod4": report.a_pos_1mod4,
-            "claims_unramified": report.claims_unramified,
-        }
+        flags = {f: getattr(report, f) for f in (*_CONDITIONS, "claims_unramified")}
         flags_match = flags == raw["expected_flags"]
         sextic_match = None
         if raw.get("expected_sextics"):

@@ -196,16 +196,13 @@ def _norm(opts, field, alpha):
     return rec, f"norm = {norm}, trace = {trace}"
 
 
-# the report's flags, printed as text one group per line
-_KAPPA_FLAGS = (("eligible_mod9", "gcd_ab_ok", "two_divides_e", "a_pos_1mod4"),
-                ("claims_unramified", "already_square"))
-
-
 def _kappa(opts, m, b, P):
-    from .classfield import kappa_element, unramified_conditions
+    from .classfield import _CONDITIONS, kappa_element
 
-    r = unramified_conditions(kappa_element(m, b, P))
-    flags = {f: getattr(r, f) for group in _KAPPA_FLAGS for f in group}
+    r = kappa_element(m, b, P)
+    # the report's flags, printed as text one group per line
+    groups = (_CONDITIONS, ("claims_unramified", "already_square"))
+    flags = {f: getattr(r, f) for group in groups for f in group}
     rec = {
         "m": str(r.m),
         "b": str(r.b),
@@ -218,14 +215,14 @@ def _kappa(opts, m, b, P):
         **flags,
         "sextic": [str(c) for c in r.sextic.coeffs],
     }
-    flag_lines = (" ".join(f"{f}={flags[f]}" for f in group) for group in _KAPPA_FLAGS)
+    flag_lines = (" ".join(f"{f}={flags[f]}" for f in group) for group in groups)
     return rec, "\n".join([f"alpha = {r.alpha}", f"norm = {r.norm} = ({r.norm_sqrt})^2", *flag_lines])
 
 
 def _ext_poly(opts, m, b, P):
-    from .classfield import kappa_element, sqrt_ext_minpoly, unramified_conditions
+    from .classfield import kappa_element, sqrt_ext_minpoly
 
-    r = unramified_conditions(kappa_element(m, b, P))
+    r = kappa_element(m, b, P)
     poly = sqrt_ext_minpoly(r)
     return {"m": str(r.m), "b": str(r.b), "coeffs": [str(c) for c in poly.coeffs],
             "poly": poly.format()}, poly.format()

@@ -16,7 +16,7 @@ from purecubic.mordell import MordellCurve, affine
 
 
 def kappa(m, b, x, y):
-    return unramified_conditions(kappa_element(m, b, affine(x, y)))
+    return kappa_element(m, b, affine(x, y))
 
 
 class TestKappaElement:
@@ -67,6 +67,18 @@ class TestKappaElement:
         kappa(57, 1, Fraction(4873, 36), Fraction(-340165, 216))
         assert calls == [47, 57]
 
+    @pytest.mark.parametrize("b", [-1.0, Fraction(-1)])
+    def test_non_integer_b_refused_before_any_work(self, monkeypatch, b):
+        # at b = -1 the point (-1, 1) lies on y^2 = x^3 + 2, so only b's type can stop it
+        calls = []
+        for owner, name in ((arith, "factorize"), (MordellCurve, "halve")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *a, name=name, real=real, **k: calls.append(name) or real(*a, **k))
+        with pytest.raises(TypeError):
+            kappa_element(2, b, affine(-1, 1))
+        assert calls == []
+
 
 class TestUnramifiedConditions:
     def test_m11_row(self):
@@ -96,6 +108,26 @@ class TestUnramifiedConditions:
         assert r.a == -551 and r.e == 4
         assert r.a_pos_1mod4 is False
         assert r.claims_unramified is False
+
+
+def test_report_arrives_complete():
+    # every Table 1 row, and the small points of twelve twists
+    inputs = [(row.field_m, row.b, row.report.point) for row in table1_verify().rows]
+    for m in (2, 26, 47, 113):
+        for b in (1, -1, 3):
+            inputs += [(m, b, P) for P in MordellCurve.twist(m, b).search(3, 300)]
+    checked = 0
+    for m, b, P in inputs:
+        try:
+            r = kappa_element(m, b, P)
+        except EffortExceeded:
+            continue
+        assert type(r.claims_unramified) is bool
+        assert r.claims_unramified == all(
+            (r.eligible_mod9, r.gcd_ab_ok, r.two_divides_e, r.a_pos_1mod4))
+        assert unramified_conditions(r) == r
+        checked += 1
+    assert checked == 25 + 60  # no halving here needs more than the budget
 
 
 class TestSqrtExtMinpoly:

@@ -44,15 +44,17 @@ def test_import_loads_no_submodule():
     assert probe() == {"import": []}
 
 
-@pytest.mark.parametrize("argv, layer", [
+@pytest.mark.parametrize("argv, layers", [
     (["norm", "2", "1", "2", "3"], "field"),
     (["curve-add", "-2", "3", "5", "3", "5"], "mordell"),
     (["halve", "-2", "129/100", "-383/1000"], "mordell"),
+    (["kappa", "113", "3", "97/4", "847/8"], "classfield field mordell"),  # never binsq
+    (["table1"], "classfield field mordell"),
 ])
-def test_a_command_loads_only_its_layers(argv, layer):
+def test_a_command_loads_only_its_layers(argv, layers):
     out = probe(argv)
     assert out["code"] == 0
-    assert out["command"] == sorted(f"purecubic.{name}" for name in ("arith", "cli", "errors", layer))
+    assert out["command"] == sorted(f"purecubic.{name}" for name in ("arith", "cli", "errors", *layers.split()))
 
 
 def test_every_public_name_resolves_to_its_submodule():
