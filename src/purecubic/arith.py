@@ -80,11 +80,12 @@ _TRIAL_BLOCK = 16
 # Pollard rho steps per gcd of the product of differences.
 _RHO_BLOCK = 64
 
-# The first twelve primes: trial divisors of certified_prime, and the
-# strong-pseudoprime bases that make Miller-Rabin deterministic below
-# _CERTIFIED_BOUND (covers all 64-bit integers with a wide margin).
+# The first twelve primes: trial divisors of certified_prime, and its
+# strong-pseudoprime bases (see there).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Past the last of them, rational_roots seeks its prime on the squarefree part.
+# The least strong pseudoprime to the first thirteen primes (2 to 41): with base
+# 41 added, Miller-Rabin is deterministic below it.
 _CERTIFIED_BOUND = 3_317_044_064_679_887_385_961_981
 
 
@@ -122,9 +123,16 @@ def _miller_rabin_witness(n: int, a: int) -> bool:
 def certified_prime(n: int) -> bool:
     """Deterministic primality test.
 
-    Raises EffortExceeded for n at or beyond the certified Miller-Rabin
-    range when no compositeness witness is found, rather than reporting
-    a probable prime as prime. A non-integer n raises TypeError.
+    After trial division by _MR_BASES, Miller-Rabin runs on the smallest
+    base set that is deterministic for n's size, the least strong
+    pseudoprime to the first j primes being psi_j: bases 2, 3, 5, 7 below
+    psi_4 = 3,215,031,751; the first seven below psi_7 = 341,550,071,728,321
+    (Jaeschke, Math. Comp. 61, 1993); all twelve below psi_12 =
+    318,665,857,834,031,151,167,461, and those with 41 below psi_13 =
+    _CERTIFIED_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
+    Raises EffortExceeded for n at or beyond _CERTIFIED_BOUND when no
+    compositeness witness is found, rather than reporting a probable prime
+    as prime. A non-integer n raises TypeError.
     """
     n = index(n)
     if n < 2:
@@ -134,7 +142,15 @@ def certified_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    for a in _MR_BASES:
+    if n < 3_215_031_751:
+        bases = _MR_BASES[:4]
+    elif n < 341_550_071_728_321:
+        bases = _MR_BASES[:7]
+    elif n < 318_665_857_834_031_151_167_461:
+        bases = _MR_BASES
+    else:
+        bases = (*_MR_BASES, 41)
+    for a in bases:
         if _miller_rabin_witness(n, a):
             return False
     if n >= _CERTIFIED_BOUND:
@@ -216,10 +232,14 @@ class Factorization(Value):
         return v
 
     def divisors(self) -> list[int]:
-        """All positive divisors of |n|, ascending."""
+        """All positive divisors of |n|, ascending. Each prime p^e adds e layers,
+        each the one before times p, so no power of p is recomputed."""
         ds = [1]
         for p, e in self.prime_powers:
-            ds = [d * p**i for d in ds for i in range(e + 1)]
+            layer = ds
+            for _ in range(e):
+                layer = [d * p for d in layer]
+                ds.extend(layer)
         return sorted(ds)
 
     def __iter__(self):
@@ -413,8 +433,10 @@ def rational_roots(p: IntPoly) -> set[Fraction]:
     primitive squarefree part, which has the same roots, all simple, so
     some l qualifies. No root mod l means no nonzero rational root. Newton
     steps lift each z to Z with f(Z) = 0 mod L = l^(2^j) > |c_d|. For each
-    numerator +-p, q = p/Z mod L is kept when q | c_d, gcd(p, q) = 1 and
-    the homogenised sum of c_i * p^i * q^(d-i) is exactly 0. No root is
+    divisor p of c_0 and each Z, one product gives q = p/Z mod L, which is
+    not 0 since l does not divide p, and -p gets L - q; each candidate
+    is kept when q | c_d, gcd(p, q) = 1 and the homogenised sum of
+    c_i * p^i * q^(d-i) is exactly 0. No root is
     lost: a root p/q has l dividing neither p nor q, so p/q = z (mod l)
     for a simple root z, and by Hensel's uniqueness Z is the only l-adic
     root above z; so p = q*Z (mod L), and 0 < q <= |c_d| < L fixes q.
@@ -456,25 +478,31 @@ def rational_roots(p: IntPoly) -> set[Fraction]:
         lifts = [(z - _value_mod(cs, z, modulus) * pow(_value_mod(dcs, z, modulus), -1, modulus)) % modulus
                  for z in lifts]
     tail = cs[-2::-1]  # c_(d-1), ..., c_0
+    cd, found = cs[-1], set()
 
-    def is_root(num: int, den: int) -> bool:
-        acc, den_pow = cs[-1], 1
+    def keep(num: int, den: int):
+        """Add num/den (den/num after a flip) to found if it is in lowest terms and a root of cs."""
+        if gcd(num, den) != 1:
+            return
+        acc, den_pow = cd, 1
         for c in tail:
             den_pow *= den
             acc = acc * num + c * den_pow
-        return acc == 0
+        if acc == 0:
+            found.add(Fraction(den, num) if flip else Fraction(num, den))
 
-    found = set()
-    inverses = [pow(z, -1, modulus) for z in lifts]
-    for nm in num_fac.divisors():
-        if cs[0] % nm:  # only past the squarefree step, whose c_0 divides the old one
-            continue
-        for num in (nm, -nm):
-            for inverse in inverses:
-                dn = num * inverse % modulus
-                if cs[-1] % dn == 0 and gcd(nm, dn) == 1 and is_root(num, dn):
-                    found.add(Fraction(num, dn))
-    return roots | ({1 / r for r in found} if flip else found)
+    numerators = num_fac.divisors()
+    if squarefree:  # the squarefree part's c_0 divides the old one, maybe strictly
+        numerators = [nm for nm in numerators if cs[0] % nm == 0]
+    for inverse in [pow(z, -1, modulus) for z in lifts]:
+        for nm in numerators:
+            # nm divides c_0, so l does not divide nm and 0 < dn < L; -nm gets L - dn
+            dn = nm * inverse % modulus
+            if cd % dn == 0:
+                keep(nm, dn)
+            if cd % (modulus - dn) == 0:
+                keep(-nm, modulus - dn)
+    return roots | found
 
 
 def _value_mod(cs: list[int], x: int, modulus: int) -> int:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import operator
+import re
 from fractions import Fraction
 from importlib import resources
 from math import gcd
@@ -169,11 +170,20 @@ def load_table1(path: str | None = None) -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
+def _json_int(value) -> int:
+    """An int that is not a bool, or a string of an optional sign and digits, as an
+    int; anything else raises ValueError. int() alone would truncate 9.9 to 9 and
+    read true as 1."""
+    if value.__class__ is int or value.__class__ is str and re.fullmatch("[+-]?[0-9]+", value):
+        return int(value)  # a ValueError past int()'s digit limit
+    raise ValueError(f"not an integer: {value!r}")
+
+
 def _row_int(raw: dict, key: str, name: str) -> int:
-    """raw[key] as an int, or a ValueError naming the row."""
+    """raw[key] as an int (see _json_int), or a ValueError naming the row."""
     try:
-        return int(raw[key])
-    except (TypeError, ValueError):
+        return _json_int(raw[key])
+    except ValueError:
         raise ValueError(f"{name}: {key} = {raw[key]!r} is not an integer") from None
 
 
@@ -230,7 +240,7 @@ def table1_verify(path: str | None = None) -> Table1Result:
         sextic_match = None
         if raw.get("expected_sextics"):
             try:
-                wanted = [IntPoly(tuple(int(c) for c in cs)) for cs in raw["expected_sextics"]]
+                wanted = [IntPoly(map(_json_int, cs)) for cs in raw["expected_sextics"]]
             except (TypeError, ValueError):
                 raise ValueError(f"{name}: expected_sextics must be lists of integers") from None
             sextic_match = report.sextic in wanted

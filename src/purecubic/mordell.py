@@ -11,9 +11,11 @@ is a rational root of the quartic
 
     x^4 - 4X x^3 - 8k x - 4kX        (X = x(P))
 
-and x(Q)^3 + k is a rational square; each candidate x0 is confirmed by
-one exact doubling, never by sign conventions: 2(x0, y0) must be P or
--P, and 2(x0, -y0) is its negation.
+and x(Q)^3 + k is a rational square y0^2 with y0 != 0. Each candidate
+is confirmed exactly by the duplication formula above, cross-multiplied
+over integer numerators and denominators, never by sign conventions:
+its x-part must give X, and its y-part gives y(P) when (x0, y0) is a
+preimage and -y(P) when (x0, -y0) is, since 2(x0, -y0) = -2(x0, y0).
 
 k is normally an integer but may be any nonzero rational, which is
 what quadratic twists with fractional scale produce.
@@ -189,26 +191,43 @@ class MordellCurve(Value):
         For the point at infinity this is the rational 2-torsion plus
         infinity itself. Otherwise the preimages are the rational roots of
         halving_quartic(x(P)), so EffortExceeded propagates from factorize
-        when its end coefficients cannot be split. P is checked once; each
-        root x0 with x0^3 + k = y0^2 a rational square gives Q = (x0, y0),
-        on the curve by construction, and one tangent D = 2Q decides both
-        signs: Q is a preimage when D = P, and -Q when D = -P, since
-        2(-Q) = -D.
+        when its end coefficients cannot be split. P is checked once. For
+        each root x0 = p/q, y0 is the rational square root of
+        N/(q^3 kd) = x0^3 + k, with N = p^3 kd + kn q^3 and k = kn/kd; a
+        root with no such y0, or with y0 = 0 (2Q = infinity), is skipped.
+        The module's two checks then run on integers: with X = xn/xd,
+        Y = yn/yd and y0 = sn/sd, 4y0^2 X = x0^4 - 8k x0 reads
+
+            4 N xn q = xd (p^4 kd - 8 kn p q^3),
+
+        and 8y0^3 (+-Y) = x0^6 + 20k x0^3 - 8k^2 reads
+
+            8 sn N yn q^3 kd = +-sd yd (p^6 kd^2 + 20 kn kd p^3 q^3 - 8 kn^2 q^6).
+
+        The + sign accepts (x0, y0), the - sign (x0, -y0); when Y = 0 both
+        can hold. Only an accepted preimage becomes a CurvePoint.
         """
         self._require(P)
         if P.is_infinity:
             return {INFINITY} | self.two_torsion()
+        kn, kd = self.k.numerator, self.k.denominator
+        xn, xd, yn, yd = P.x.numerator, P.x.denominator, P.y.numerator, P.y.denominator
         found: set[CurvePoint] = set()
         for x0 in rational_roots(self.halving_quartic(P.x)):
-            y0 = perfect_square_root(x0**3 + self.k)
-            if y0 is None:
+            p, q = x0.numerator, x0.denominator
+            p3, q3 = p**3, q**3
+            N = p3 * kd + kn * q3
+            y0 = perfect_square_root(Fraction(N, q3 * kd))
+            if not y0:  # None, or y0 = 0: a point of order 2 doubles to infinity
                 continue
-            Q = CurvePoint(x0, y0)
-            D = self._chord(Q, Q)  # and 2(-Q) = -D, so one tangent settles both signs of y0
-            if D == P:
-                found.add(Q)
-            if D == -P:
-                found.add(-Q)
+            if 4 * N * xn * q != xd * p * (p3 * kd - 8 * kn * q3):
+                continue
+            lhs = 8 * y0.numerator * N * yn * q3 * kd
+            rhs = y0.denominator * yd * (p3 * p3 * kd * kd + 20 * kn * kd * p3 * q3 - 8 * kn * kn * q3 * q3)
+            if lhs == rhs:
+                found.add(CurvePoint(x0, y0))
+            if lhs == -rhs:
+                found.add(CurvePoint(x0, -y0))
         return found
 
     # -- search --------------------------------------------------------------

@@ -27,16 +27,46 @@ def trial_factorize(n: int) -> dict[int, int]:
 
 def brute_rational_roots(coeffs, height: int) -> set[Fraction]:
     """All rational roots p/q of the ascending-coefficient polynomial
-    with |p| <= height and 1 <= q <= height, by exhaustive search."""
+    with |p| <= height and 1 <= q <= height, by exhaustive search: p/q
+    is a root when the sum of c_i * p^i * q^(d-i) is 0."""
+    d = len(coeffs) - 1
     roots = set()
     for q in range(1, height + 1):
+        scaled = [c * q ** (d - i) for i, c in enumerate(coeffs)]
         for p in range(-height, height + 1):
             if gcd(p, q) != 1:
                 continue
-            x = Fraction(p, q)
-            if sum(c * x**i for i, c in enumerate(coeffs)) == 0:
-                roots.add(x)
+            acc = 0
+            for c in reversed(scaled):
+                acc = acc * p + c
+            if acc == 0:
+                roots.add(Fraction(p, q))
     return roots
+
+
+def reference_halve(k, X, Y, height: int) -> set[tuple[Fraction, Fraction]]:
+    """Every (x0, y0) with 2(x0, y0) = (X, Y) on y^2 = x^3 + k whose x0 has
+    numerator and denominator at most height: the roots of the textbook
+    quartic x^4 - 4X x^3 - 8k x - 4kX by brute_rational_roots, each
+    y0 = +-sqrt(x0^3 + k) by isqrt, doubled by the tangent in Fractions."""
+    from purecubic.arith import IntPoly
+
+    k, X, Y = Fraction(k), Fraction(X), Fraction(Y)
+    quartic = IntPoly.from_rationals([-4 * k * X, -8 * k, 0, -4 * X, 1])
+    out = set()
+    for x0 in brute_rational_roots(quartic.coeffs, height):
+        c = x0**3 + k
+        if c <= 0:  # no rational y0, or y0 = 0, whose double is infinity
+            continue
+        num, den = isqrt(c.numerator), isqrt(c.denominator)
+        if num * num != c.numerator or den * den != c.denominator:
+            continue
+        for y0 in (Fraction(num, den), Fraction(-num, den)):
+            lam = 3 * x0 * x0 / (2 * y0)
+            x2 = lam * lam - 2 * x0
+            if (x2, lam * (x0 - x2) - y0) == (X, Y):
+                out.add((x0, y0))
+    return out
 
 
 def naive_elem_square(m: int, comps):

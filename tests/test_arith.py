@@ -90,6 +90,35 @@ class TestCertifiedPrime:
         n = sympy.nextprime(4 * 10**24) * 3
         assert certified_prime(n) is False
 
+    # below 10^20: any integer, a prime, or a product of two primes below 10^10
+    @given(st.one_of(st.integers(min_value=-10, max_value=10**20 - 1),
+                     st.integers(min_value=3, max_value=10**20 - 1).map(sympy.prevprime),
+                     st.tuples(*[st.integers(min_value=3, max_value=10**10).map(sympy.prevprime)] * 2)
+                     .map(prod)))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_sympy(self, n):
+        assert certified_prime(n) is sympy.isprime(n)
+
+    # the least strong pseudoprimes to the first 4, 7, 11 and 12 primes: each base set
+    # is chosen to stop just below the one it cannot tell from a prime
+    @pytest.mark.parametrize("n", [3215031751, 341550071728321, 3825123056546413051,
+                                   318665857834031151167461])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not sympy.isprime(n)
+        assert certified_prime(n) is False
+
+    @pytest.mark.parametrize("bound", [3215031751, 341550071728321, 318665857834031151167461,
+                                       arith._CERTIFIED_BOUND])
+    def test_primes_either_side_of_each_bound(self, bound):
+        assert certified_prime(sympy.prevprime(bound)) is True
+        if bound < arith._CERTIFIED_BOUND:
+            assert certified_prime(sympy.nextprime(bound)) is True
+
+    def test_pseudoprime_to_all_thirteen_bases_is_not_certified(self):
+        # the least strong pseudoprime to 2, ..., 41 is where certification stops
+        with pytest.raises(EffortExceeded):
+            certified_prime(arith._CERTIFIED_BOUND)
+
 
 class TestPerfectSquareRoot:
     def test_norm_of_five_minus_cbrt4(self):

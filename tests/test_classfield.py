@@ -272,3 +272,39 @@ class TestTable1:
         p.write_text(json.dumps(data))
         result = table1_verify(str(p))
         assert len(result.rows) == 3 and result.all_passed
+
+    @pytest.mark.parametrize("key, value", [("x_num", 9.9), ("m", 11.5), ("x_num", True),
+                                            ("k", -11.0), ("alpha_a", "9.0"), ("x_den", " 4")])
+    def test_a_non_integer_entry_names_its_row(self, tmp_path, key, value):
+        # the first row is m = 11, x = 9/4 on y^2 = x^3 - 11; int() would read each value above
+        import json
+
+        data = load_table1()
+        data["rows"] = [{**data["rows"][0], key: value}]
+        p = tmp_path / "one.json"
+        p.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"^row 0 .*: {key} = .* is not an integer$"):
+            table1_verify(str(p))
+
+    @pytest.mark.parametrize("value", ["9", 9, "+9"])
+    def test_an_integer_entry_as_int_or_digits(self, tmp_path, value):
+        import json
+
+        data = load_table1()
+        data["rows"] = [{**data["rows"][0], "x_num": value}]
+        p = tmp_path / "one.json"
+        p.write_text(json.dumps(data))
+        (row,) = table1_verify(str(p)).rows
+        assert row.x == Fraction(9, 4) and row.passed
+
+    def test_a_non_integer_sextic_coefficient_is_refused(self, tmp_path):
+        import json
+
+        data = load_table1()
+        raw = next(raw for raw in data["rows"] if raw["expected_sextics"])
+        sextic = [float(c) + 0.5 if i == 0 else c for i, c in enumerate(raw["expected_sextics"][0])]
+        data["rows"] = [{**raw, "expected_sextics": [sextic]}]
+        p = tmp_path / "one.json"
+        p.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="expected_sextics must be lists of integers"):
+            table1_verify(str(p))

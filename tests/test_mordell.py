@@ -2,15 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from purecubic import mordell
-from purecubic.arith import IntPoly, perfect_square_root
+from purecubic.arith import IntPoly
 from purecubic.errors import InvalidPoint
 from purecubic.mordell import INFINITY, CurvePoint, MordellCurve, affine, x_as_a_over_e2
 
-from helpers import brute_rational_roots
+from helpers import brute_rational_roots, reference_halve
 from helpers import brute_search
 
 
@@ -393,35 +393,71 @@ def test_halving_quartic_matches_the_rational_coefficients(k, X):
     assert MordellCurve(k).halving_quartic(X).coeffs == expected.coeffs
 
 
-def test_halve_runs_one_tangent_per_root(monkeypatch):
-    roots, chords = [], []
-    rational_roots, chord = mordell.rational_roots, MordellCurve._chord
-
-    def recording(p):
-        found = rational_roots(p)
-        roots.extend(found)
-        return found
-
-    def counting(self, P, Q):
-        chords.append((P, Q))
-        return chord(self, P, Q)
-
-    def halve(C, R):
-        roots.clear()
-        chords.clear()
-        halves = C.halve(R)
-        assert all(P == Q for P, Q in chords)  # tangents only
-        assert len(chords) == sum(perfect_square_root(x**3 + C.k) is not None for x in roots)
-        return halves
-
-    monkeypatch.setattr(mordell, "rational_roots", recording)
-    monkeypatch.setattr(MordellCurve, "_chord", counting)
-    tangents = 0
+def test_halve_confirms_candidates_without_a_tangent(monkeypatch):
+    """Decoy roots are refused by the integer checks alone: P is checked once and
+    no Fraction tangent is taken, whether the root has a rational y or not."""
+    cases = []
     for k in (-2, -4, -26, 1, 17, -432):
         C = MordellCurve(k)
-        for P in C.search(2, 40):
+        points = C.search(2, 40)
+        for P in points:
             for R in (P, C.double(P)):
-                halves = halve(C, R)
-                tangents += len(chords)
-                assert halve(C, -R) == {-Q for Q in halves}
-    assert tangents > 0
+                # other points' x: rational y, but the double is not +-R; and x = 1/2, whose
+                # x^3 + k has denominator 8, so no rational y
+                decoys = {Q.x for Q in points if C.double(Q) not in (R, -R)} | {Fraction(1, 2)}
+                cases.append((C, R, decoys, C.halve(R)))
+    assert any(len(decoys) > 1 for *_, decoys, _ in cases)  # decoys with a rational y
+    assert any(halves for *_, halves in cases)
+
+    rational_roots, chord, contains = mordell.rational_roots, MordellCurve._chord, MordellCurve.contains
+    decoys, calls = set(), {"_chord": 0, "contains": 0}
+
+    def with_decoys(p):
+        return rational_roots(p) | decoys
+
+    def counting(name, method):
+        def wrapped(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return wrapped
+
+    monkeypatch.setattr(mordell, "rational_roots", with_decoys)
+    monkeypatch.setattr(MordellCurve, "_chord", counting("_chord", chord))
+    monkeypatch.setattr(MordellCurve, "contains", counting("contains", contains))
+    for C, R, decoys_of_R, halves in cases:
+        decoys.clear()
+        decoys.update(decoys_of_R)
+        for target, expected in ((R, halves), (-R, {-Q for Q in halves})):
+            calls.update(_chord=0, contains=0)
+            assert C.halve(target) == expected
+            assert calls == {"_chord": 0, "contains": 1}
+
+
+def _height(x: Fraction) -> int:
+    return max(abs(x.numerator), x.denominator)
+
+
+@given(st.integers(-60, 60).filter(bool), st.sampled_from([1, 4, 8, 9, 27]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_halve_matches_the_reference(kn, kd, data):
+    """halve on Q, 2Q, -2Q and 3Q against the brute-force oracle, searched up to a
+    height that covers Q (a preimage of +-2Q) and every preimage halve returns."""
+    C = MordellCurve(Fraction(kn, kd))
+    points = C.search(2, 40)
+    assume(points)
+    Q = data.draw(st.sampled_from(points))
+    D = C.double(Q)
+
+    def reference(R, height):
+        return {CurvePoint(x, y) for x, y in reference_halve(C.k, R.x, R.y, height)}
+
+    for R in (Q, D, -D, C.scalar_mul(3, Q)):
+        if R.is_infinity:
+            continue
+        halves = C.halve(R)
+        height = max(_height(S.x) for S in (Q, *halves))
+        if height <= 150:  # the oracle's cost grows with the square of the height
+            assert halves == reference(R, height)
+    # the preimages of 3Q are Q + S with 2S = Q, whatever their height
+    below_Q = reference(Q, max(_height(S.x) for S in (Q, *C.halve(Q))))
+    assert C.halve(C.scalar_mul(3, Q)) == {C.add(Q, S) for S in below_Q}
