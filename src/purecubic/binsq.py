@@ -25,12 +25,34 @@ checks each operand once and runs one chord: star(alpha1, alpha2) is the
 element of -(P1 + P2), the sign of star_parts' closed formulas (b = 1),
 and 1 when the chord gives infinity (alpha2 = -alpha1). A rational
 operand is the identity and leaves the other one unchanged.
+
+The chord runs on integers in the elements' own coordinates, with no
+curve, point or intermediate Fraction. Put xi = s/t and eta = 1/t; then
+P = (b*xi, b^2*eta), the twist reads b*eta^2 = xi^3 - m, and the chord's
+slope is b*mu:
+
+    mu   = (eta2 - eta1)/(xi2 - xi1),  or 3*xi1^2/(2*b*eta1) for the tangent,
+    xi3  = b*mu^2 - xi1 - xi2,
+    eta3 = mu*(xi3 - xi1) + eta1,
+
+where (b*xi3, b^2*eta3) = -(P1 + P2), whose element is (-xi3^2/(2*eta3),
+xi3/eta3, 1/eta3): b has dropped out. Every intermediate is a numerator
+and denominator in lowest terms. xi and eta are reduced first (the
+stored t makes eta's reduction free), a sum takes the gcd of its
+denominators first, and a product takes the cross gcds, as Fraction's own
+arithmetic does (Henrici; Knuth, TAOCP vol. 2, 4.5.1). The reason is
+size: for b = 1 the denominators of xi and eta are z^2 and z^3 for one
+integer z, and the chord's differences cancel most of what the operands
+share. A fraction left unreduced carries those factors into each later
+product, so the numbers, and the cost of the gcds that finally remove
+them, grow with every step. Only the three output coordinates are built
+as Fractions, one each, as _alpha builds them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .arith import Value, _set, perfect_square_root
@@ -69,7 +91,7 @@ class BinomialSquareWitness(Value):
 
 
 def _point(b: Fraction, alpha: CubicElement) -> CurvePoint:
-    """The point (b*s/t, b^2/t) of alpha, t != 0, one Fraction a coordinate; unvalidated, see _binomial_b."""
+    """The point (b*s/t, b^2/t) of alpha, t != 0, one Fraction a coordinate; unvalidated, see _binomial."""
     bn, bd = b.numerator, b.denominator
     s, t = alpha.s, alpha.t
     tn, td = t.numerator, t.denominator
@@ -86,12 +108,12 @@ def _alpha(field: CubicField, b: Fraction, P: CurvePoint) -> CubicElement:
                          Fraction(bn * bn * yd, bd * bd * yn))
 
 
-def _binomial_b(field: CubicField, alpha: CubicElement) -> Fraction:
-    """The b of alpha^2 = a - b*w (0 exactly when alpha is rational), checked once.
+def _binomial(field: CubicField, alpha: CubicElement) -> tuple[int, int, int, int]:
+    """(s, t, d, B) of alpha = (r + s*w + t*w^2)/d, alpha^2 = a - b*w with b = B/d^2, checked once.
 
     Raises FieldMismatch, ZeroElement, or NotBinomial unless 2rt + s^2 = 0.
     That check alone puts (x, y) = _point(b, alpha) on y^2 = x^3 - m*b^3:
-    y^2 - x^3 + m*b^3 = -(b/t)^3 * s*(2rt + s^2).
+    y^2 - x^3 + m*b^3 = -(b/t)^3 * s*(2rt + s^2). B = 0 exactly when alpha is rational.
     """
     if alpha.field != field:
         raise FieldMismatch(f"{alpha.field} != {field}")
@@ -100,7 +122,7 @@ def _binomial_b(field: CubicField, alpha: CubicElement) -> Fraction:
         raise ZeroElement("0 is not in the multiplicative group")
     if 2 * r * t + s * s != 0:
         raise NotBinomial(f"2rt + s^2 = {Fraction(2 * r * t + s * s, d * d)} != 0")
-    return Fraction(-(2 * r * s + field.m * t * t), d * d)
+    return s, t, d, -(2 * r * s + field.m * t * t)
 
 
 def elem_from_point(field: CubicField, b, P: CurvePoint) -> BinomialSquareWitness:
@@ -124,7 +146,8 @@ def point_from_elem(field: CubicField, alpha: CubicElement) -> BinomialSquareWit
     unless 2rt + s^2 = 0. Rational alpha is the trivial case and maps to
     the point at infinity with b = 0.
     """
-    b = _binomial_b(field, alpha)  # the one check, which proves both facts of the witness
+    _, _, d, B = _binomial(field, alpha)  # the one check, which proves both facts of the witness
+    b = Fraction(B, d * d)
     r, s, t = alpha.components()
     if t == 0:  # then s = 0 as well, and alpha^2 = r^2
         return BinomialSquareWitness._proved(field, b, alpha, r * r, INFINITY, None)
@@ -149,7 +172,7 @@ def star_parts(alpha1: CubicElement, alpha2: CubicElement) -> StarParts:
     """Closed-formula star product for the generic chord case (b = 1).
 
     Requires s1/t1 != s2/t2 (distinct x-coordinates); the denominator
-    is then automatically nonzero.
+    is then automatically nonzero. Raises InvalidPoint otherwise.
     """
     s1, t1 = alpha1.s, alpha1.t
     s2, t2 = alpha2.s, alpha2.t
@@ -159,33 +182,88 @@ def star_parts(alpha1: CubicElement, alpha2: CubicElement) -> StarParts:
     t_plus = t1 * t2
     sigma = (s2 - s1) * t_plus - s_plus * t_minus
     den = t_minus**3 * t_plus + s_minus**2 * sigma
-    assert s_minus != 0 and den != 0, "chord formulas need distinct x-coordinates"
+    if s_minus == 0 or den == 0:
+        raise InvalidPoint("chord formulas need distinct x-coordinates")
     s3 = (s_minus**3 * s_plus - s_minus * t_minus**2 * t_plus) / den
     t3 = -(s_minus**3 * t_plus) / den
     r3 = -s3 * s3 / (2 * t3)
     return StarParts(s_minus, s_plus, t_minus, t_plus, sigma, r3, s3, t3)
 
 
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    """n/d, d != 0, in lowest terms with d > 0."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return n // g, d // g
+
+
+def _add(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """an/ad + bn/bd in lowest terms from two in lowest terms (ad, bd > 0): the gcd of the
+    denominators first, as Fraction adds (Henrici; Knuth, TAOCP vol. 2, 4.5.1)."""
+    g = gcd(ad, bd)
+    if g == 1:
+        return an * bd + bn * ad, ad * bd
+    ad //= g
+    n = an * (bd // g) + bn * ad
+    h = gcd(n, g)
+    return n // h, ad * (bd // h)
+
+
+def _mul(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """(an/ad)*(bn/bd) in lowest terms, with a positive denominator, from two in lowest terms
+    by the cross gcds; bd may be negative, so a quotient is a product by (den, num)."""
+    g, h = gcd(an, bd), gcd(bn, ad)
+    n, d = (an // g) * (bn // h), (ad // h) * (bd // g)
+    return (-n, -d) if d < 0 else (n, d)
+
+
+def _eta(alpha: CubicElement) -> tuple[int, int]:
+    """eta = d/t = 1/t of alpha, t != 0, in lowest terms: the stored t is, so no gcd is needed."""
+    tn, td = alpha.t.numerator, alpha.t.denominator
+    return (td, tn) if tn > 0 else (-td, -tn)
+
+
 def star(alpha1: CubicElement, alpha2: CubicElement) -> CubicElement:
     """Product induced on binomial-square elements by point addition.
 
     Both operands must satisfy 2rt + s^2 = 0 and carry the same twist
-    scale b. Each is checked once, by _binomial_b, which puts its point on
+    scale b. Each is checked once, by _binomial, which puts its point on
     y^2 = x^3 - m*b^3; one chord (the tangent for equal operands) then
     gives -(P1 + P2) and its element. A rational operand is the identity
     and returns the other unchanged; alpha and -alpha give 1.
+
+    The chord runs on integer pairs in lowest terms, in the operands' own
+    coordinates xi = s/t and eta = 1/t (the module docstring says why each
+    step reduces): mu = (eta2 - eta1)/(xi2 - xi1), or 3*xi1^2/(2*b*eta1)
+    for the tangent; xi3 = b*mu^2 - xi1 - xi2 and eta3 = mu*(xi3 - xi1) +
+    eta1; the product is (-xi3^2/(2*eta3), xi3/eta3, 1/eta3).
     """
     field = alpha1.field
-    b = _binomial_b(field, alpha1)
-    b2 = _binomial_b(field, alpha2)
-    if alpha1.t == 0:
+    s1, t1, d1, B1 = _binomial(field, alpha1)
+    s2, t2, d2, B2 = _binomial(field, alpha2)
+    if not t1:
         return alpha2
-    if alpha2.t == 0:
+    if not t2:
         return alpha1
-    if b != b2:
-        raise NotBinomial(f"twist scales differ: {b} vs {b2}")
-    R = MordellCurve.twist(field.m, b)._chord(_point(b, alpha1), _point(b, alpha2))
-    return field.one if R.is_infinity else _alpha(field, b, -R)  # infinity for alpha2 = -alpha1
+    D1, D2 = d1 * d1, d2 * d2
+    if B1 * D2 != B2 * D1:
+        raise NotBinomial(f"twist scales differ: {Fraction(B1, D1)} vs {Fraction(B2, D2)}")
+    bn, bd = _lowest(B1, D1)
+    a1, c1 = _lowest(s1, t1)  # xi1 = s1/t1
+    e1, f1 = _eta(alpha1)
+    if s1 == s2 and t1 == t2 and d1 == d2:  # alpha2 = alpha1: the tangent
+        mn, md = _mul(*_mul(3, 2, *_mul(a1 * a1, c1 * c1, f1, e1)), bd, bn)  # 3*xi1^2/(2*b*eta1)
+        a2, c2 = a1, c1
+    else:
+        a2, c2 = _lowest(s2, t2)
+        if a1 == a2 and c1 == c2:  # one x, another element: P2 = -P1, and the chord meets infinity
+            return field.one
+        xn, xd = _add(a2, c2, -a1, c1)
+        mn, md = _mul(*_add(*_eta(alpha2), -e1, f1), xd, xn)  # (eta2 - eta1)/(xi2 - xi1)
+    p, q = _add(*_mul(bn, bd, mn * mn, md * md), *_add(-a1, c1, -a2, c2))  # xi3 = b*mu^2 - xi1 - xi2
+    u, v = _add(*_mul(mn, md, *_add(p, q, -a1, c1)), e1, f1)  # eta3 = mu*(xi3 - xi1) + eta1
+    return field.element(Fraction(-p * p * v, 2 * q * q * u), Fraction(p * v, q * u), Fraction(v, u))
 
 
 def is_square_binomial(field: CubicField, a, b) -> CubicElement | None:

@@ -187,6 +187,18 @@ def _row_int(raw: dict, key: str, name: str) -> int:
         raise ValueError(f"{name}: {key} = {raw[key]!r} is not an integer") from None
 
 
+def _row_flags(raw: dict, name: str) -> dict:
+    """raw["expected_flags"], each a JSON boolean, or a ValueError naming the row and the key:
+    == alone would match 1.0 or 1 against True."""
+    expected = raw["expected_flags"]
+    if not isinstance(expected, dict):
+        raise ValueError(f"{name}: expected_flags = {expected!r} is not an object")
+    for key, value in expected.items():
+        if value.__class__ is not bool:
+            raise ValueError(f"{name}: expected_flags {key} = {value!r} is not a boolean")
+    return expected
+
+
 def table1_verify(path: str | None = None) -> Table1Result:
     """Recompute every dataset row and compare against its recorded values.
 
@@ -236,7 +248,7 @@ def table1_verify(path: str | None = None) -> Table1Result:
             printed is None or _row_int(raw, "alpha_b_coeff_printed", name) == got_coeff
         )
         flags = {f: getattr(report, f) for f in (*_CONDITIONS, "claims_unramified")}
-        flags_match = flags == raw["expected_flags"]
+        flags_match = flags == _row_flags(raw, name)
         sextic_match = None
         if raw.get("expected_sextics"):
             try:

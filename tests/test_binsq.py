@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -15,9 +19,9 @@ from purecubic.binsq import (
     star_parts,
 )
 from purecubic.classfield import kappa_element
-from purecubic.errors import FieldMismatch, InvalidPoint, NotBinomial, ZeroElement
+from purecubic.errors import DomainError, FieldMismatch, InvalidPoint, NotBinomial, ZeroElement
 from purecubic.field import CubicElement, CubicField, sqrt_in_field
-from purecubic.mordell import INFINITY, MordellCurve, affine
+from purecubic.mordell import INFINITY, CurvePoint, MordellCurve, affine
 
 from helpers import reference_alpha, reference_point, reference_star
 
@@ -66,7 +70,7 @@ class TestElemFromPoint:
 
 
 class TestBinomialB:
-    """_binomial_b on one common denominator against the plain Fraction formulas."""
+    """_binomial on one common denominator against the plain Fraction formulas."""
 
     fields = st.sampled_from([2, 26, -2, -7, 113, 33554467**2]).map(CubicField)
     big = st.integers(-(10**30), 10**30)
@@ -76,8 +80,12 @@ class TestBinomialB:
     @settings(max_examples=150, deadline=None)
     def test_b_of_a_binomial_square(self, F, s, t):
         r = -Fraction(s) ** 2 / (2 * Fraction(t))
-        b = binsq._binomial_b(F, F.element(r, s, t))
-        assert type(b) is Fraction and b == -(2 * r * s + F.m * Fraction(t) ** 2)
+        alpha = F.element(r, s, t)
+        s_, t_, d, B = binsq._binomial(F, alpha)
+        assert all(type(v) is int for v in (s_, t_, d, B)) and d > 0
+        assert (Fraction(s_, d), Fraction(t_, d)) == (alpha.s, alpha.t)
+        b = point_from_elem(F, alpha).b
+        assert type(b) is Fraction and b == Fraction(B, d * d) == -(2 * r * s + F.m * Fraction(t) ** 2)
 
     @given(fields, coords, coords, coords)
     @settings(max_examples=150, deadline=None)
@@ -85,7 +93,7 @@ class TestBinomialB:
         r, s, t = map(Fraction, (r, s, t))
         assume(2 * r * t + s * s != 0)
         with pytest.raises(NotBinomial) as info:
-            binsq._binomial_b(F, F.element(r, s, t))
+            binsq._binomial(F, F.element(r, s, t))
         assert str(info.value) == f"2rt + s^2 = {2 * r * t + s * s} != 0"
 
 
@@ -272,6 +280,53 @@ class TestStar:
         a2 = elem_from_point(F26, 1, affine(3, 1)).alpha
         with pytest.raises(FieldMismatch):
             star(a1, a2)
+
+    def test_star_parts_refuses_one_x(self):
+        alpha = elem_from_point(F2, 1, affine(3, 5)).alpha
+        for other in (alpha, -alpha):
+            with pytest.raises(InvalidPoint, match="^chord formulas need distinct x-coordinates$"):
+                star_parts(alpha, other)
+        assert issubclass(InvalidPoint, DomainError)
+
+    def test_star_parts_refuses_one_x_under_optimisation(self):
+        # -O strips assert statements; the check must survive it
+        code = (
+            "from purecubic import CubicField, CurvePoint\n"
+            "from purecubic.binsq import elem_from_point, star_parts\n"
+            "from purecubic.errors import InvalidPoint\n"
+            "alpha = elem_from_point(CubicField(2), 1, CurvePoint(3, 5)).alpha\n"
+            "for other in (alpha, -alpha):\n"
+            "    try:\n"
+            "        star_parts(alpha, other)\n"
+            "    except InvalidPoint as exc:\n"
+            "        print(exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "chord formulas need distinct x-coordinates\n" * 2
+
+
+# y^2 = x^3 - m*b^3 with a point of infinite order: the Bachet point, and (58/9, 440/27) for b = 2/3
+HEIGHT_CURVES = ((2, Fraction(1), (3, 5)), (7, Fraction(2, 3), (Fraction(58, 9), Fraction(440, 27))))
+
+
+class TestStarAtHeight:
+    """star against the group law at heights the searched properties do not reach: nP has about
+    n^2 digits, so 40P * 45P runs the chord on coordinates of about 1,400 digits."""
+
+    @pytest.mark.parametrize("m, b, xy", HEIGHT_CURVES, ids=["b=1", "b=2/3"])
+    @pytest.mark.parametrize("n1, n2", [(10, 11), (20, 23), (40, 45), (40, 40)])
+    def test_star_is_the_element_of_minus_the_sum(self, m, b, xy, n1, n2):
+        K, C = CubicField(m), MordellCurve.twist(m, b)
+        P = C.point(*xy)
+        P1, P2 = C.scalar_mul(n1, P), C.scalar_mul(n2, P)
+        total = C.add(P1, P2)
+        assert total == C.scalar_mul(n1 + n2, P)
+        a1, a2 = elem_from_point(K, b, P1).alpha, elem_from_point(K, b, P2).alpha
+        assert star(a1, a2) == elem_from_point(K, b, -total).alpha
 
 
 class TestIsSquareBinomial:
@@ -545,6 +600,36 @@ def test_star_and_square_decision_check_once(monkeypatch):
     assert is_square_binomial(F4, 5, 1) == root
     assert counts["witness"] == counts["norm"] == 0
     assert counts["contains"] > 0  # halve still validates the point it halves
+
+
+def test_star_builds_no_curve_objects(monkeypatch):
+    chord = (
+        F2.element(Fraction(9, 10), Fraction(-3, 5), Fraction(-1, 5)),
+        F2.element(Fraction(-16641, 7660), Fraction(1290, 383), Fraction(1000, 383)),
+    )
+    tangent = (chord[0], chord[0])
+    pool = twist_elements(7, Fraction(2, 3))
+    twist = (pool[0], pool[2])  # -P and -2P, P = (58/9, 440/27) on y^2 = x^3 - 56/27
+    assert twist[0] not in (twist[1], -twist[1])
+    inverse = (chord[1], -chord[1])
+    pairs = (chord, tangent, twist, inverse)
+    expected = [reference_star(*pair) for pair in pairs]
+    assert expected[3] == F2.one
+
+    counts = {"MordellCurve": 0, "CurvePoint": 0, "_chord": 0}
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(MordellCurve, "__init__", counting("MordellCurve", MordellCurve.__init__))
+    monkeypatch.setattr(CurvePoint, "__init__", counting("CurvePoint", CurvePoint.__init__))
+    monkeypatch.setattr(MordellCurve, "_chord", counting("_chord", MordellCurve._chord))
+    for pair, want in zip(pairs, expected):
+        assert star(*pair) == want
+    assert counts == {"MordellCurve": 0, "CurvePoint": 0, "_chord": 0}
 
 
 @pytest.mark.parametrize("call", [

@@ -297,6 +297,34 @@ class TestTable1:
         (row,) = table1_verify(str(p)).rows
         assert row.x == Fraction(9, 4) and row.passed
 
+    @pytest.mark.parametrize("value", [1.0, 1, "true"])
+    def test_a_flag_that_is_not_a_boolean_names_its_row(self, tmp_path, value):
+        # the first row's flags are all true, so == alone would let 1.0 and 1 through
+        import json
+
+        data = load_table1()
+        raw = data["rows"][0]
+        data["rows"] = [{**raw, "expected_flags": {key: value for key in raw["expected_flags"]}}]
+        p = tmp_path / "one.json"
+        p.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=r"^row 0 \(m='11'\): expected_flags eligible_mod9 = .* is not a boolean$"):
+            table1_verify(str(p))
+
+    @pytest.mark.parametrize("flip", [None, "gcd_ab_ok"])
+    def test_boolean_flags_are_compared(self, tmp_path, flip):
+        import json
+
+        data = load_table1()
+        raw = data["rows"][0]
+        flags = dict(raw["expected_flags"])
+        if flip:
+            flags[flip] = not flags[flip]
+        data["rows"] = [{**raw, "expected_flags": flags}]
+        p = tmp_path / "one.json"
+        p.write_text(json.dumps(data))
+        (row,) = table1_verify(str(p)).rows
+        assert row.flags_match is row.passed is (flip is None)
+
     def test_a_non_integer_sextic_coefficient_is_refused(self, tmp_path):
         import json
 
