@@ -432,7 +432,9 @@ def rational_roots(p: IntPoly) -> set[Fraction]:
     root z of f mod l is simple; past _MR_BASES, f is first replaced by its
     primitive squarefree part, which has the same roots, all simple, so
     some l qualifies. No root mod l means no nonzero rational root. Newton
-    steps lift each z to Z with f(Z) = 0 mod L = l^(2^j) > |c_d|. For each
+    steps lift each z to Z with f(Z) = 0 mod L = l^(2^j) > |c_d|, carrying
+    1/f'(z) along by a Newton step of its own rather than an extended gcd
+    per step. For each
     divisor p of c_0 and each Z, one product gives q = p/Z mod L, which is
     not 0 since l does not divide p, and -p gets L - q; each candidate
     is kept when q | c_d, gcd(p, q) = 1 and the homogenised sum of
@@ -472,11 +474,17 @@ def rational_roots(p: IntPoly) -> set[Fraction]:
         dcs = [i * c for i, c in enumerate(cs)][1:]
         if all(_value_mod(dcs, z, ell) for z in lifts):
             break
-    modulus = ell
-    while modulus <= abs(cs[-1]):
-        modulus *= modulus
-        lifts = [(z - _value_mod(cs, z, modulus) * pow(_value_mod(dcs, z, modulus), -1, modulus)) % modulus
-                 for z in lifts]
+    # a root z mod L carries v = 1/f'(z) mod L: z - f(z)*v is the root mod L^2, and one
+    # Newton step for the reciprocal, v*(2 - f'(z)*v), brings v to L^2 without an extended gcd
+    bound, inverses = abs(cs[-1]), []
+    for z in lifts:
+        modulus, v = ell, pow(_value_mod(dcs, z, ell), -1, ell)
+        while modulus <= bound:
+            modulus *= modulus
+            z = (z - _value_mod(cs, z, modulus) * v) % modulus
+            if modulus <= bound:
+                v = v * (2 - _value_mod(dcs, z, modulus) * v) % modulus
+        inverses.append(pow(z, -1, modulus))
     tail = cs[-2::-1]  # c_(d-1), ..., c_0
     cd, found = cs[-1], set()
 
@@ -494,7 +502,7 @@ def rational_roots(p: IntPoly) -> set[Fraction]:
     numerators = num_fac.divisors()
     if squarefree:  # the squarefree part's c_0 divides the old one, maybe strictly
         numerators = [nm for nm in numerators if cs[0] % nm == 0]
-    for inverse in [pow(z, -1, modulus) for z in lifts]:
+    for inverse in inverses:
         for nm in numerators:
             # nm divides c_0, so l does not divide nm and 0 < dn < L; -nm gets L - dn
             dn = nm * inverse % modulus

@@ -279,7 +279,8 @@ def is_square_binomial(field: CubicField, a, b) -> CubicElement | None:
     N(alpha(Q)) = -(x^6 + 20kx^3 - 8k^2)/(8y^3) = -y(2Q) < 0, k = -m*b^3, by
     the duplication formula, and the real embedding has the norm's sign.
     """
-    a, b = Fraction(a), Fraction(b)
+    a = a if a.__class__ is Fraction else Fraction(a)
+    b = b if b.__class__ is Fraction else Fraction(b)
     if a == 0 and b == 0:
         raise ZeroElement("0 has no useful square root here")
     if b == 0:

@@ -147,9 +147,8 @@ class CubicElement(Value):
 
     def norm(self) -> Fraction:
         """N(r + s*w + t*w^2) = r^3 + m s^3 + m^2 t^3 - 3m r s t."""
-        m = self.field.m
         r, s, t, d = self._integral()
-        return Fraction(r**3 + m * s**3 + m * m * t**3 - 3 * m * r * s * t, d**3)
+        return Fraction(_norm_numerator(self.field.m, r, s, t), d**3)
 
     def trace(self) -> Fraction:
         return 3 * self.r
@@ -178,11 +177,20 @@ class CubicElement(Value):
         return f"{body} (w = cbrt({self.field.m}))"
 
 
+def _norm_numerator(m: int, r: int, s: int, t: int) -> int:
+    """n = r^3 + m s^3 + m^2 t^3 - 3m r s t, so that N((r + s*w + t*w^2)/d) = n/d^3."""
+    return r**3 + m * s**3 + m * m * t**3 - 3 * m * r * s * t
+
+
 def sqrt_in_field(beta: CubicElement, digits: int = 256) -> CubicElement | None:
     """An exact square root of beta in its field, or None.
 
     A beta whose norm is not the square of a rational answers None at
-    once, and that None is a proof: N(gamma^2) = N(gamma)^2. Otherwise
+    once, and that None is a proof: N(gamma^2) = N(gamma)^2. The test is
+    one integer norm: with beta = (R + S*w + T*w^2)/D from _integral,
+    N(beta) = n/D^3, n = R^3 + m*S^3 + m^2*T^3 - 3m*R*S*T, which is the
+    square of a rational exactly when n*D = n*D^4/D^3 is a positive
+    integer square. Otherwise
     one numeric attempt takes square roots of the three embeddings of
     beta (two essentially different sign choices), solves back to
     (r, s, t) coordinates, reconstructs each as a rational of height at
@@ -199,7 +207,8 @@ def sqrt_in_field(beta: CubicElement, digits: int = 256) -> CubicElement | None:
     embedding, at least sqrt(|N|)/B, because the smallest embedding of
     beta is at least |N|/B^2. Each coordinate is so within
     8*B^2/sqrt(|N|) * 2^-P of its value. The guard, the bit length of
-    ceil(8*B^4/|N|), brings that to at most 2^-prec (and keeps each
+    ceil(8*B^4/|N|) = ceil(8*b^4/(D*|n|)) with b = D*B, an integer
+    quotient, brings that to at most 2^-prec (and keeps each
     embedding's error below half its size). Rounded down to a multiple of
     2^-K, K = max(2*bits(H), prec//2) + 2, a coordinate is then within
     2^-(2*bits(H) + 1) < 1/(2H^2) of its value, so a coordinate p/q with
@@ -208,13 +217,26 @@ def sqrt_in_field(beta: CubicElement, digits: int = 256) -> CubicElement | None:
     on a square norm therefore means that no root has coordinates of
     height at most H: w in Q(cbrt(33554467^2)) is a square, w =
     (w^2/33554467)^2, but its root lies above that bound.
+
+    Of the two signs of the complex root, the attempt walks first the one
+    that puts E*r nearer to an integer, r the first coordinate it gives and
+    E = 3|m|*D: D*gamma is an algebraic integer, since (D*gamma)^2 =
+    D*(R + S*w + T*w^2), and the index of Z[w] in the ring of integers
+    divides 3m (its square divides disc(1, w, w^2) = -27m^2), so E*gamma
+    lies in Z[w]. A tie keeps the order (+, -). The order cannot change
+    an answer: beta has only the roots +-gamma, either sign that squares
+    back returns the one with positive real embedding, and None needs
+    both signs to fail. It saves the wrong sign's walks, which on a
+    generic real run until the convergents pass H.
     """
     if beta.is_zero():
         return beta
     if beta.is_rational():
         root = perfect_square_root(beta.r)
         return beta.field.element(root) if root is not None else None
-    if perfect_square_root(beta.norm()) is None:
+    R, S, T, D = beta._integral()
+    nD = _norm_numerator(beta.field.m, R, S, T) * D
+    if nD <= 0 or isqrt(nD) ** 2 != nD:
         return None
     h = max(max(abs(c.numerator), c.denominator) for c in beta.components())
     height_bound = h * h << 24
@@ -229,8 +251,8 @@ def _sqrt_attempt(beta: CubicElement, prec: int, height_bound: int) -> CubicElem
     R, S, T, D = beta._integral()
     v = icbrt(abs(m)) + 1
     b = max(abs(R) + abs(S) * v + abs(T) * v * v, D)  # D * B
-    N = beta.norm()  # nonzero
-    P = prec + (-(-8 * b**4 * N.denominator // (D**4 * abs(N.numerator)))).bit_length()
+    n = _norm_numerator(m, R, S, T)  # nonzero: N(beta) = n/D^3
+    P = prec + (-(-8 * b**4 // (D * abs(n)))).bit_length()
     # fixed point at 2^-P: each name below is its value times 2^P
     W = icbrt(abs(m) << 3 * P) * (1 if m > 0 else -1)  # the real embedding of w
     W2 = W * W >> P
@@ -254,7 +276,11 @@ def _sqrt_attempt(beta: CubicElement, prec: int, height_bound: int) -> CubicElem
     V3 = Q3 * V >> P
     tbits = max(8, prec // 2)
     K = max(2 * height_bound.bit_length(), tbits) + 2
-    for sign in (1, -1):
+    # E*r is an integer for the root's first coordinate r = (G +- U)/(3D * 2^P), E = 3|m|*D:
+    # the sign that puts E*r = |m|*(G +- U)/2^P nearer to an integer goes first
+    one = 1 << P
+    plus, minus = (abs(m) * (G + U)) % one, (abs(m) * (G - U)) % one
+    for sign in ((-1, 1) if min(minus, one - minus) < min(plus, one - plus) else (1, -1)):
         # invert the embedding matrix; G and U + iV are D and 2D times the root's embeddings:
         # 3D*r = G + U, 6D*w*s = 2G - U + sqrt(3)V, 6D*w^2*t = 2G - U - sqrt(3)V;
         # each coordinate is rounded down to a multiple of 2^-K for the walk

@@ -16,6 +16,7 @@ is confirmed exactly by the duplication formula above, cross-multiplied
 over integer numerators and denominators, never by sign conventions:
 its x-part must give X, and its y-part gives y(P) when (x0, y0) is a
 preimage and -y(P) when (x0, -y0) is, since 2(x0, -y0) = -2(x0, y0).
+contains tests y^2 = x^3 + k the same way, with no Fraction built.
 
 k is normally an integer but may be any nonzero rational, which is
 what quadratic twists with fractional scale produce.
@@ -26,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import IntPoly, Value, _set, perfect_cube_root, perfect_square_root, rational_roots
+from .arith import IntPoly, Value, _set, perfect_cube_root, rational_roots
 from .errors import InvalidPoint
 
 
@@ -77,7 +78,7 @@ class MordellCurve(Value):
     __slots__ = ("k",)
 
     def __init__(self, k):
-        k = Fraction(k)
+        k = k if k.__class__ is Fraction else Fraction(k)
         if k == 0:
             raise ValueError("k = 0 is singular")
         _set(self, "k", k)
@@ -90,7 +91,7 @@ class MordellCurve(Value):
     @classmethod
     def twist(cls, m: int, b) -> "MordellCurve":
         """The twist y^2 = x^3 - m*b^3 carrying squares a - b*w; k = -m*bn^3/bd^3 is one Fraction."""
-        b = Fraction(b)
+        b = b if b.__class__ is Fraction else Fraction(b)
         if b == 0:
             raise ValueError("twist scale b must be nonzero")
         return cls(Fraction(-m * b.numerator**3, b.denominator**3))
@@ -102,9 +103,15 @@ class MordellCurve(Value):
     # -- membership ---------------------------------------------------------
 
     def contains(self, P: CurvePoint) -> bool:
+        """Whether P is on the curve: infinity is, and an affine point when, with
+        x = xn/xd, y = yn/yd and k = kn/kd, yn^2 xd^3 kd = (xn^3 kd + kn xd^3) yd^2."""
         if P.is_infinity:
             return True
-        return P.y * P.y == P.x**3 + self.k
+        x, y = P.x, P.y
+        kn, kd, xd = self.k.numerator, self.k.denominator, x.denominator
+        xd3 = xd * xd * xd
+        yn, yd = y.numerator, y.denominator
+        return yn * yn * xd3 * kd == (x.numerator ** 3 * kd + kn * xd3) * yd * yd
 
     def point(self, x, y) -> CurvePoint:
         """Validated affine point; raises InvalidPoint off the curve."""
@@ -192,11 +199,14 @@ class MordellCurve(Value):
         infinity itself. Otherwise the preimages are the rational roots of
         halving_quartic(x(P)), so EffortExceeded propagates from factorize
         when its end coefficients cannot be split. P is checked once. For
-        each root x0 = p/q, y0 is the rational square root of
-        N/(q^3 kd) = x0^3 + k, with N = p^3 kd + kn q^3 and k = kn/kd; a
-        root with no such y0, or with y0 = 0 (2Q = infinity), is skipped.
-        The module's two checks then run on integers: with X = xn/xd,
-        Y = yn/yd and y0 = sn/sd, 4y0^2 X = x0^4 - 8k x0 reads
+        each root x0 = p/q, y0^2 = x0^3 + k = N/(q^3 kd) = N q kd/(q^2 kd)^2,
+        with N = p^3 kd + kn q^3 and k = kn/kd, so y0 is rational exactly
+        when N q kd is an integer square s^2, and then y0 = s/(q^2 kd),
+        not always in lowest terms. A root with N q kd not a positive
+        square (no rational y0, or y0 = 0, where 2Q = infinity) is skipped.
+        The module's two checks then run on integers, which hold for any
+        representation of y0: with X = xn/xd, Y = yn/yd and y0 = sn/sd,
+        4y0^2 X = x0^4 - 8k x0 reads
 
             4 N xn q = xd (p^4 kd - 8 kn p q^3),
 
@@ -217,17 +227,21 @@ class MordellCurve(Value):
             p, q = x0.numerator, x0.denominator
             p3, q3 = p**3, q**3
             N = p3 * kd + kn * q3
-            y0 = perfect_square_root(Fraction(N, q3 * kd))
-            if not y0:  # None, or y0 = 0: a point of order 2 doubles to infinity
+            sq = N * q * kd  # y0^2 = sq/(q^2 kd)^2
+            if sq <= 0:  # no real y0, or y0 = 0: a point of order 2 doubles to infinity
+                continue
+            s = isqrt(sq)
+            if s * s != sq:
                 continue
             if 4 * N * xn * q != xd * p * (p3 * kd - 8 * kn * q3):
                 continue
-            lhs = 8 * y0.numerator * N * yn * q3 * kd
-            rhs = y0.denominator * yd * (p3 * p3 * kd * kd + 20 * kn * kd * p3 * q3 - 8 * kn * kn * q3 * q3)
+            sd = q * q * kd
+            lhs = 8 * s * N * yn * q3 * kd
+            rhs = sd * yd * (p3 * p3 * kd * kd + 20 * kn * kd * p3 * q3 - 8 * kn * kn * q3 * q3)
             if lhs == rhs:
-                found.add(CurvePoint(x0, y0))
+                found.add(CurvePoint(x0, Fraction(s, sd)))
             if lhs == -rhs:
-                found.add(CurvePoint(x0, -y0))
+                found.add(CurvePoint(x0, Fraction(-s, sd)))
         return found
 
     # -- search --------------------------------------------------------------

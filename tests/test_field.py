@@ -11,7 +11,7 @@ from purecubic.arith import icbrt, perfect_square_root
 from purecubic.binsq import elem_from_point, is_square_binomial, point_from_elem, star
 from purecubic.classfield import kappa_element
 from purecubic.errors import FieldMismatch
-from purecubic.field import CubicField, binomial_minpoly, sqrt_in_field
+from purecubic.field import CubicElement, CubicField, binomial_minpoly, sqrt_in_field
 from purecubic.mordell import MordellCurve, affine
 
 from helpers import naive_elem_mul, naive_elem_square, naive_norm, reference_sqrt_in_field
@@ -312,6 +312,73 @@ class TestNormTest:
         beta = gamma * gamma
         got = sqrt_in_field(beta)
         assert got is not None and got * got == beta
+
+
+class TestIntegerNormAndSignOrder:
+    """One integer norm n*D decides the norm test, and the root's sign is walked first."""
+
+    # every one but the last two took 4 walks when the signs were tried in a fixed order
+    squares = [
+        (2, (1, -1, -1)), (2, (Fraction(9, 10), Fraction(-3, 5), Fraction(-1, 5))),
+        (-7, (2, -1, 3)), (-2, (1, 1, 1)), (-26, (Fraction(-1, 2), 3, Fraction(7, 5))),
+        (4, (-1, 1, Fraction(1, 2))), (54, (1, 1, 1)), (54, (Fraction(1, 2), -1, Fraction(1, 3))),
+        (250, (3, Fraction(-1, 5), 2)), (26, (0, 1, 0)), (-7, (Fraction(1, 3), 5, Fraction(-2, 7))),
+    ]
+
+    @pytest.mark.parametrize("m, comps", squares)
+    def test_three_walks_per_square(self, m, comps, monkeypatch):
+        gamma = CubicField(m).element(*comps)
+        beta = gamma * gamma
+        walks, convergent = [], field._convergent
+
+        def counted(*args):
+            walks.append(args)
+            return convergent(*args)
+
+        monkeypatch.setattr(field, "_convergent", counted)
+        assert sqrt_in_field(beta) in (gamma, -gamma)
+        assert len(walks) == 3
+
+    def test_no_norm_before_the_attempt(self, monkeypatch):
+        F26 = CubicField(26)
+        # (beta, norm calls in all, norm calls when the attempt starts, None if it never does)
+        cases = [(CubicField(m).element(*comps) ** 2, 1, 0) for m, comps in self.squares]
+        cases += [(3 * F26.element(1, 2, -1) ** 2, 0, None),  # a non-square norm: no attempt
+                  (F26.element(1, 2, -1) ** 2 * F26.element(3, -1), 0, 0)]  # norm 1, no root
+        counts = {"norm": 0, "at_attempt": None}
+        norm, attempt = CubicElement.norm, field._sqrt_attempt
+
+        def counted_norm(self):
+            counts["norm"] += 1
+            return norm(self)
+
+        def recorded_attempt(*args):
+            counts["at_attempt"] = counts["norm"]
+            return attempt(*args)
+
+        monkeypatch.setattr(CubicElement, "norm", counted_norm)
+        monkeypatch.setattr(field, "_sqrt_attempt", recorded_attempt)
+        for beta, norms, at_attempt in cases:
+            counts.update(norm=0, at_attempt=None)
+            # the one norm a square root takes is positive_embedding's
+            assert (sqrt_in_field(beta) is None) == (norms == 0)
+            assert counts == {"norm": norms, "at_attempt": at_attempt}
+
+    # elements whose norm is 1 and which are not squares: gamma^2 times one of them is not a square
+    square_norms = {26: (3, -1), 2: (-1, 1), 7: (2, -1)}
+    fields = st.sampled_from([2, 3, 7, 26, -2, -7, 54, 250])
+
+    @given(fields, rats, rats, rats, st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_reference(self, m, r, s, t, twisted):
+        K = CubicField(m)
+        gamma = K.element(r, s, t)
+        assume(not gamma.is_zero())
+        beta = gamma * gamma
+        if twisted and m in self.square_norms:
+            beta = beta * K.element(*self.square_norms[m])
+            assert sqrt_in_field(beta) is None
+        assert sqrt_in_field(beta) == reference_sqrt_in_field(beta)
 
 
 class TestBinomialMinpoly:

@@ -461,3 +461,51 @@ def test_halve_matches_the_reference(kn, kd, data):
     # the preimages of 3Q are Q + S with 2S = Q, whatever their height
     below_Q = reference(Q, max(_height(S.x) for S in (Q, *C.halve(Q))))
     assert C.halve(C.scalar_mul(3, Q)) == {C.add(Q, S) for S in below_Q}
+
+
+rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 30))
+
+
+@given(st.integers(-60, 60).filter(bool), st.sampled_from([1, 4, 8, 9, 27]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_contains_matches_the_fraction_equation(kn, kd, data):
+    """The integer test of contains against y^2 = x^3 + k in Fractions, for fractional
+    k: on points of search, on those points moved off the curve, on arbitrary
+    rationals and at infinity."""
+    C = MordellCurve(Fraction(kn, kd))
+    candidates = [INFINITY, CurvePoint(data.draw(rationals), data.draw(rationals))]
+    points = C.search(2, 30)
+    if points:
+        P = data.draw(st.sampled_from(points))
+        shift = data.draw(rationals)
+        candidates += [P, CurvePoint(P.x + shift, P.y), CurvePoint(P.x, P.y + shift)]
+    for P in candidates:
+        assert C.contains(P) == (P.is_infinity or P.y**2 == P.x**3 + C.k)
+    assert not points or C.contains(points[0])
+
+
+@pytest.mark.parametrize("e", [Fraction(2, 3), Fraction(-1, 2), Fraction(-7, 4), Fraction(3, 2)])
+def test_halve_skips_the_root_with_y0_zero(e, monkeypatch):
+    """On y^2 = x^3 - e^3 the point T = (e, 0) has order 2. x0 = e is never a root of a
+    halving quartic (its value there is -9ke), so it is planted as a decoy: there
+    x0^3 + k = 0, the integer test sees y0^2 = 0, and the root must be skipped."""
+    C = MordellCurve(-e**3)
+    T = CurvePoint(e, 0)
+    assert C.contains(T) and C.two_torsion() == {T}
+    targets, low = [INFINITY, T], [INFINITY, T]
+    for P in C.search(4, 60):
+        if P.y:
+            targets += [P, C.double(P), C.scalar_mul(3, P), C.add(P, T)]
+            low += [P, C.add(P, T)]
+    assert len(targets) > 2
+    expected = [C.halve(R) for R in targets]
+    assert expected[:2] == [{INFINITY, T}, set()]  # no rational point of order 4 on y^2 = x^3 + k
+    assert any(expected[2:])
+    # the oracle searches up to the height of the low points and of every preimage found
+    for R, halves in zip(targets[2:], expected[2:]):
+        height = max(_height(S.x) for S in (*low[2:], *halves))
+        assert halves == {CurvePoint(x, y) for x, y in reference_halve(C.k, R.x, R.y, height)}
+
+    rational_roots = mordell.rational_roots
+    monkeypatch.setattr(mordell, "rational_roots", lambda p: rational_roots(p) | {e})
+    assert [C.halve(R) for R in targets] == expected
