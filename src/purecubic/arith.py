@@ -434,11 +434,10 @@ def rational_roots(p: IntPoly) -> set[Fraction]:
     some l qualifies. No root mod l means no nonzero rational root. Newton
     steps lift each z to Z with f(Z) = 0 mod L = l^(2^j) > |c_d|, carrying
     1/f'(z) along by a Newton step of its own rather than an extended gcd
-    per step. For each
-    divisor p of c_0 and each Z, one product gives q = p/Z mod L, which is
-    not 0 since l does not divide p, and -p gets L - q; each candidate
-    is kept when q | c_d, gcd(p, q) = 1 and the homogenised sum of
-    c_i * p^i * q^(d-i) is exactly 0. No root is
+    per step. For each divisor p of c_0 and each Z, one product gives
+    q = p/Z mod L, which is not 0 since l does not divide p, and -p gets
+    L - q; each candidate is kept when q | c_d, gcd(p, q) = 1 and the
+    homogenised sum of c_i * p^i * q^(d-i) is exactly 0. No root is
     lost: a root p/q has l dividing neither p nor q, so p/q = z (mod l)
     for a simple root z, and by Hensel's uniqueness Z is the only l-adic
     root above z; so p = q*Z (mod L), and 0 < q <= |c_d| < L fixes q.
