@@ -1,13 +1,14 @@
 """Arbitrary-precision integer and rational kernels.
 
-Everything downstream leans on four primitives implemented here:
+Everything downstream leans on three primitives implemented here:
 exact factorization with an explicit effort budget (the primes below
 10^4 found by one gcd per block of them, then a Pollard rho that takes
 one gcd per block of steps), perfect-square detection for rationals,
-rational roots of integer polynomials (each numerator dividing the
+and rational roots of integer polynomials (each numerator dividing the
 constant term is matched to its one possible denominator by the
-polynomial's roots modulo a small prime, lifted by Newton steps), and
-reconstruction of a rational from a high-precision real approximation.
+polynomial's roots modulo a small prime, lifted by Newton steps). Only
+tests call ``rational_reconstruct``; the field's square root runs its
+walk, ``_convergent``, on its own fixed-point values.
 
 Rationals are plain ``fractions.Fraction`` values (always reduced,
 positive denominator).
@@ -16,10 +17,11 @@ positive denominator).
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import cache
 from itertools import compress
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isfinite, isqrt, lcm, prod
 from operator import attrgetter, index
 
 from .errors import EffortExceeded
@@ -545,38 +547,36 @@ def _divmod_poly(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], 
     return q, r
 
 
-def _exact_binary(x) -> tuple[int, int]:
-    """(n, d) with d > 0 and n/d the exact value of a finite binary float,
-    mpf, int or Fraction."""
-    if isinstance(x, (int, Fraction)):
-        return x.numerator, x.denominator
-    import mpmath as mp
-
-    v = mp.mpf(x)
-    if not mp.isfinite(v):
-        raise ValueError(f"no rational value: {x}")
-    sign, man, exp, _ = v._mpf_
-    man = -int(man) if sign else int(man)
-    if exp >= 0:
-        return man << exp, 1
-    return man, 1 << -exp
-
-
 def rational_reconstruct(approx, height_bound: int) -> Fraction | None:
     """Recover a rational of bounded height from a real approximation.
 
-    Walks the continued fraction of the exact binary value tn/td of
-    ``approx`` (see ``_convergent``) with tbits = max(8, prec // 2) at the
-    current mpmath working precision, and returns the last convergent p/q
-    with |p|, q <= height_bound lying within 2**-tbits of tn/td, or None;
-    callers are expected to re-verify the result exactly. Raises
-    ValueError for an infinite or NaN ``approx``. The field's square root
-    does not call it: it runs ``_convergent`` on its own fixed-point values.
+    Reads the exact value tn/td of ``approx``: an int or Fraction as it
+    is, a float by ``as_integer_ratio``, anything else (an mpmath number,
+    a string) as an mpf, the one case that imports mpmath. Returns the
+    last convergent p/q of tn/td (see ``_convergent``) with |p|, q <=
+    height_bound within 2**-tbits of tn/td, or None, for the caller to
+    re-verify exactly; tbits = max(8, prec // 2), with prec mpmath's
+    working precision if it is loaded and its default of 53 bits if not.
+    Raises ValueError for an infinite or NaN ``approx``.
     """
-    import mpmath as mp
+    if isinstance(approx, (int, Fraction)):
+        tn, td = approx.numerator, approx.denominator
+    elif isinstance(approx, float):
+        if not isfinite(approx):
+            raise ValueError(f"no rational value: {approx}")
+        tn, td = approx.as_integer_ratio()
+    else:
+        import mpmath as mp
 
-    tn, td = _exact_binary(approx)
-    return _convergent(tn, td, max(8, mp.mp.prec // 2), height_bound)
+        v = mp.mpf(approx)
+        if not mp.isfinite(v):
+            raise ValueError(f"no rational value: {approx}")
+        sign, man, exp, _ = v._mpf_
+        tn = (-int(man) if sign else int(man)) << max(exp, 0)
+        td = 1 << max(-exp, 0)
+    loaded = sys.modules.get("mpmath")
+    prec = loaded.mp.prec if loaded else 53
+    return _convergent(tn, td, max(8, prec // 2), height_bound)
 
 
 def _convergent(tn: int, td: int, tbits: int, height_bound: int) -> Fraction | None:

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
 import sympy
@@ -279,7 +283,7 @@ class TestRationalReconstruct:
         st.integers(0, 40).flatmap(lambda e: st.integers(1, 10**e)),
         st.integers(0, 40).flatmap(lambda e: st.integers(-(10**e), 10**e)),
         st.integers(0, 40).flatmap(lambda e: st.integers(1, 10**e)),
-        st.sampled_from(["int", "fraction", "mpf", "near"]),
+        st.sampled_from(["int", "fraction", "float", "mpf", "near"]),
         st.integers(-24, 24),
     )
     @settings(max_examples=400, deadline=None)
@@ -291,12 +295,39 @@ class TestRationalReconstruct:
                 x = n
             elif kind == "fraction":
                 x = Fraction(n, d)
+            elif kind == "float":
+                x = n / d
             else:
                 x = mp.mpf(n) / d
                 if kind == "near":
                     # j/8 of the acceptance radius 2^-(prec//2) away from n/d
                     x += mp.ldexp(j, -(mp.mp.prec // 2) - 3)
             assert rational_reconstruct(x, bound) == fraction_reconstruct(x, bound)
+
+    def test_without_mpmath(self):
+        # ints, Fractions and floats are read without mpmath, at its default
+        # precision of 53 bits; only a string or an mpmath number needs it
+        import mpmath as mp
+
+        inputs = [0.5, Fraction(129, 100), 1.29, 3.14159, 2.0**-60, -7, Fraction(10**30, 7), 10**30 / 7]
+        bounds = [10, 10**6, 10**40]
+        code = (
+            "import sys; sys.modules['mpmath'] = None\n"
+            "from fractions import Fraction\n"
+            "from purecubic.arith import rational_reconstruct\n"
+            f"print([str(rational_reconstruct(x, b)) for x in {inputs!r} for b in {bounds!r}])\n"
+            "for x in (float('inf'), float('nan'), '0.5'):\n"
+            "    try:\n"
+            "        rational_reconstruct(x, 10)\n"
+            "    except Exception as e:\n"
+            "        print(isinstance(e, ImportError), isinstance(e, ValueError))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60, check=True)
+        with mp.workprec(53):
+            expected = [str(rational_reconstruct(x, b)) for x in inputs for b in bounds]
+        assert proc.stdout.splitlines() == [repr(expected), "False True", "False True", "True False"]
 
 
 class TestParseRat:
