@@ -7,8 +7,8 @@ one gcd per block of steps), perfect-square detection for rationals,
 and rational roots of integer polynomials (each numerator dividing the
 constant term is matched to its one possible denominator by the
 polynomial's roots modulo a small prime, lifted by Newton steps). Only
-tests call ``rational_reconstruct``; the field's square root runs its
-walk, ``_convergent``, on its own fixed-point values.
+tests call ``rational_reconstruct``: the field's square root rounds to
+a denominator it proves, and walks no continued fraction.
 
 Rationals are plain ``fractions.Fraction`` values (always reduced,
 positive denominator).
@@ -553,11 +553,17 @@ def rational_reconstruct(approx, height_bound: int) -> Fraction | None:
     Reads the exact value tn/td of ``approx``: an int or Fraction as it
     is, a float by ``as_integer_ratio``, anything else (an mpmath number,
     a string) as an mpf, the one case that imports mpmath. Returns the
-    last convergent p/q of tn/td (see ``_convergent``) with |p|, q <=
-    height_bound within 2**-tbits of tn/td, or None, for the caller to
-    re-verify exactly; tbits = max(8, prec // 2), with prec mpmath's
-    working precision if it is loaded and its default of 53 bits if not.
-    Raises ValueError for an infinite or NaN ``approx``.
+    last convergent p/q of tn/td with |p|, q <= height_bound, if it lies
+    within 2**-tbits of tn/td, or None, for the caller to re-verify
+    exactly; tbits = max(8, prec // 2), with prec mpmath's working
+    precision if it is loaded and its default of 53 bits if not. Raises
+    ValueError for an infinite or NaN ``approx``.
+
+    The continued fraction is walked on integers: Euclid's ``divmod``
+    gives the partial quotients a, and p = a*p' + p'', q = a*q' + q'' the
+    convergents. Each convergent lies closer to tn/td than the one before,
+    so only the last one within the height bound is tested, as
+    |tn*q - p*td| * 2**tbits <= td*q.
     """
     if isinstance(approx, (int, Fraction)):
         tn, td = approx.numerator, approx.denominator
@@ -575,20 +581,7 @@ def rational_reconstruct(approx, height_bound: int) -> Fraction | None:
         tn = (-int(man) if sign else int(man)) << max(exp, 0)
         td = 1 << max(-exp, 0)
     loaded = sys.modules.get("mpmath")
-    prec = loaded.mp.prec if loaded else 53
-    return _convergent(tn, td, max(8, prec // 2), height_bound)
-
-
-def _convergent(tn: int, td: int, tbits: int, height_bound: int) -> Fraction | None:
-    """The last convergent p/q of tn/td (td > 0) with |p|, q <= height_bound
-    and |tn/td - p/q| <= 2**-tbits, or None.
-
-    The continued fraction is walked on integers: Euclid's ``divmod``
-    gives the partial quotients a, and p = a*p' + p'', q = a*q' + q'' the
-    convergents. Each convergent lies closer to tn/td than the one before,
-    so only the last one within the height bound is tested, as
-    |tn*q - p*td| * 2**tbits <= td*q.
-    """
+    tbits = max(8, (loaded.mp.prec if loaded else 53) // 2)
     p0, q0, p1, q1 = 0, 1, 1, 0
     n, d = tn, td
     while d:

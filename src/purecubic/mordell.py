@@ -11,12 +11,15 @@ is a rational root of the quartic
 
     x^4 - 4X x^3 - 8k x - 4kX        (X = x(P))
 
-and x(Q)^3 + k is a rational square y0^2 with y0 != 0. Each candidate
-is confirmed exactly by the duplication formula above, cross-multiplied
-over integer numerators and denominators, never by sign conventions:
-its x-part must give X, and its y-part gives y(P) when (x0, y0) is a
-preimage and -y(P) when (x0, -y0) is, since 2(x0, -y0) = -2(x0, y0).
-contains tests y^2 = x^3 + k the same way, with no Fraction built.
+and x(Q)^3 + k is a rational square y0^2 with y0 != 0. Such a root
+already gives x(2Q) = X: the quartic reads x0^4 - 8k x0 = 4X y0^2.
+Each candidate is confirmed exactly by the y-part of the duplication
+formula above, cross-multiplied over integer numerators and
+denominators, never by sign conventions: it gives y(P) when (x0, y0)
+is a preimage and -y(P) when (x0, -y0) is, since 2(x0, -y0) =
+-2(x0, y0). That check decides alone, for any point Q on the curve:
+y(2Q) = +-Y gives x(2Q)^3 = Y^2 - k = X^3, whose one rational root is
+X. contains tests y^2 = x^3 + k the same way, with no Fraction built.
 
 k is normally an integer but may be any nonzero rational, which is
 what quadratic twists with fractional scale produce.
@@ -204,13 +207,10 @@ class MordellCurve(Value):
         when N q kd is an integer square s^2, and then y0 = s/(q^2 kd),
         not always in lowest terms. A root with N q kd not a positive
         square (no rational y0, or y0 = 0, where 2Q = infinity) is skipped.
-        The module's two checks then run on integers, which hold for any
-        representation of y0: with X = xn/xd, Y = yn/yd and y0 = sn/sd,
-        4y0^2 X = x0^4 - 8k x0 reads
-
-            4 N xn q = xd (p^4 kd - 8 kn p q^3),
-
-        and 8y0^3 (+-Y) = x0^6 + 20k x0^3 - 8k^2 reads
+        The root gives x(2Q) = X, so the module's one check, y(2Q) = +-Y,
+        decides. It runs on integers and holds for any representation of
+        y0: with Y = yn/yd and y0 = sn/sd, 8y0^3 (+-Y) = x0^6 + 20k x0^3 -
+        8k^2 reads
 
             8 sn N yn q^3 kd = +-sd yd (p^6 kd^2 + 20 kn kd p^3 q^3 - 8 kn^2 q^6).
 
@@ -221,7 +221,7 @@ class MordellCurve(Value):
         if P.is_infinity:
             return {INFINITY} | self.two_torsion()
         kn, kd = self.k.numerator, self.k.denominator
-        xn, xd, yn, yd = P.x.numerator, P.x.denominator, P.y.numerator, P.y.denominator
+        yn, yd = P.y.numerator, P.y.denominator
         found: set[CurvePoint] = set()
         for x0 in rational_roots(self.halving_quartic(P.x)):
             p, q = x0.numerator, x0.denominator
@@ -232,8 +232,6 @@ class MordellCurve(Value):
                 continue
             s = isqrt(sq)
             if s * s != sq:
-                continue
-            if 4 * N * xn * q != xd * p * (p3 * kd - 8 * kn * q3):
                 continue
             sd = q * q * kd
             lhs = 8 * s * N * yn * q3 * kd

@@ -233,6 +233,13 @@ class TestOneAttempt:
             assert sqrt_in_field(CubicField(33554467**2).omega) is None
         assert len(calls) == 1
 
+    def test_the_cut_is_the_only_gap(self):
+        # the attempt finds the root w^2/33554467 of w, and sqrt_in_field cuts it at its height
+        K = CubicField(33554467**2)
+        root = field._sqrt_attempt(K.omega)
+        assert root == K.element(0, 0, Fraction(1, 33554467)) and root * root == K.omega
+        assert sqrt_in_field(K.omega) is None
+
     primorial = prod(sympy.primerange(2, 700))  # 290 digits
     fields = st.sampled_from([2, 3, 7, 26, -2, -7, 113, -primorial, 33554467**2]).map(CubicField)
     wide = st.builds(Fraction, st.integers(-(10**25), 10**25), st.integers(1, 10**25))
@@ -258,11 +265,10 @@ class TestFixedPointEdges:
 
     @pytest.mark.parametrize("n", [5, 50, 150, 400])
     def test_the_guard_alone_at_the_least_precision(self, n):
-        # at prec = 2*bits(H) + 2 nothing but the guard pays for the tiny real embedding;
-        # without it the rounding of that embedding changes its sign at n = 50
+        # the attempt runs at the least precision, prec = bits(E) + 2, so nothing but the guard
+        # pays for the tiny real embedding; without it the root is missed from n = 50 on
         gamma = (F2.omega - 1) ** n * Fraction(1, 3**40)
-        H = max(max(abs(c.numerator), c.denominator) for c in gamma.components())
-        assert field._sqrt_attempt(gamma * gamma, 2 * H.bit_length() + 2, H) in (gamma, -gamma)
+        assert field._sqrt_attempt(gamma * gamma) in (gamma, -gamma)
 
     @pytest.mark.parametrize("m, comps", [
         (2, (1, 3, 0)), (2, (1, 0, 2)), (26, (0, 1, 0)), (-2, (1, 1, 1)),
@@ -315,9 +321,9 @@ class TestNormTest:
 
 
 class TestIntegerNormAndSignOrder:
-    """One integer norm n*D decides the norm test, and the root's sign is walked first."""
+    """One integer norm n*D decides the norm test, and the root's sign is rounded first."""
 
-    # every one but the last two took 4 walks when the signs were tried in a fixed order
+    # every one but the last two took two exact checks when the signs were tried in a fixed order
     squares = [
         (2, (1, -1, -1)), (2, (Fraction(9, 10), Fraction(-3, 5), Fraction(-1, 5))),
         (-7, (2, -1, 3)), (-2, (1, 1, 1)), (-26, (Fraction(-1, 2), 3, Fraction(7, 5))),
@@ -327,17 +333,19 @@ class TestIntegerNormAndSignOrder:
 
     @pytest.mark.parametrize("m, comps", squares)
     def test_three_walks_per_square(self, m, comps, monkeypatch):
+        # named for the three coordinate walks of the first sign; the attempt now rounds the
+        # three coordinates and squares once
         gamma = CubicField(m).element(*comps)
         beta = gamma * gamma
-        walks, convergent = [], field._convergent
+        products, mul = [], CubicElement.__mul__
 
-        def counted(*args):
-            walks.append(args)
-            return convergent(*args)
+        def counted(self, other):
+            products.append(other)
+            return mul(self, other)
 
-        monkeypatch.setattr(field, "_convergent", counted)
+        monkeypatch.setattr(CubicElement, "__mul__", counted)
         assert sqrt_in_field(beta) in (gamma, -gamma)
-        assert len(walks) == 3
+        assert len(products) == 1
 
     def test_no_norm_before_the_attempt(self, monkeypatch):
         F26 = CubicField(26)
@@ -379,6 +387,32 @@ class TestIntegerNormAndSignOrder:
             beta = beta * K.element(*self.square_norms[m])
             assert sqrt_in_field(beta) is None
         assert sqrt_in_field(beta) == reference_sqrt_in_field(beta)
+
+
+class TestProvedDenominator:
+    """Roots outside (1/D)Z[w], D the denominator of their square, in fields whose ring of
+    integers is bigger than Z[w]: their coordinates are integers over 3|m|*D all the same."""
+
+    # an algebraic integer outside Z[w]: w^2/c for m = c^2*m0, and (1 +- w + w^2)/3 for
+    # m = +-1 mod 9 (minimal polynomials x^3 - 5, x^3 - 20, x^3 - 28, x^3 - 50 and
+    # x^3 - x^2 - 3x - 3, x^3 - x^2 + 6x - 12, x^3 - x^2 - 6x - 12, x^3 - x^2 - 3x - 3)
+    third = Fraction(1, 3)
+    integral = {25: (0, 0, Fraction(1, 5)), 50: (0, 0, Fraction(1, 5)), 98: (0, 0, Fraction(1, 7)),
+                -20: (0, 0, Fraction(1, 2)), 10: (third, third, third), 17: (third, -third, third),
+                19: (third, third, third), -10: (third, -third, third)}
+    small = st.integers(-20, 20)
+
+    @given(st.sampled_from(sorted(integral)), small, small, small, rats)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_reference(self, m, a, b, c, q):
+        K = CubicField(m)
+        gamma = K.element(a, b) + c * K.element(*self.integral[m])
+        gamma = gamma * q
+        assume(not gamma.is_zero())
+        beta = gamma * gamma
+        got = sqrt_in_field(beta)
+        assert got in (gamma, -gamma)
+        assert got == reference_sqrt_in_field(beta)
 
 
 class TestBinomialMinpoly:
