@@ -333,8 +333,7 @@ class TestIntegerNormAndSignOrder:
 
     @pytest.mark.parametrize("m, comps", squares)
     def test_three_walks_per_square(self, m, comps, monkeypatch):
-        # named for the three coordinate walks of the first sign; the attempt now rounds the
-        # three coordinates and squares once
+        # the first sign's three coordinates are rounded and confirmed by one product
         gamma = CubicField(m).element(*comps)
         beta = gamma * gamma
         products, mul = [], CubicElement.__mul__
