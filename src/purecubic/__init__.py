@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "arith": ("DEFAULT_EFFORT", "Factorization", "IntPoly", "cubefree_and_noncube", "factorize",
-              "perfect_square_root", "rational_reconstruct", "rational_roots"),
+              "perfect_square_root", "rational_roots"),
     "binsq": ("BinomialSquareWitness", "StarParts", "elem_from_point", "is_square_binomial",
               "point_from_elem", "star", "star_parts"),
     "classfield": ("KappaReport", "Table1Result", "Table1Row", "kappa_element", "sqrt_ext_minpoly",

@@ -7,8 +7,10 @@ one gcd per block of steps), perfect-square detection for rationals,
 and rational roots of integer polynomials (each numerator dividing the
 constant term is matched to its one possible denominator by the
 polynomial's roots modulo a small prime, lifted by Newton steps). Only
-tests call ``rational_reconstruct``: the field's square root rounds to
-a denominator it proves, and walks no continued fraction.
+tests call ``rational_reconstruct``, which finds the one rational of
+height at most H within 1/(2H^2) of an exact rational, or proves there
+is none: the field's square root rounds to a denominator it proves, and
+walks no continued fraction. Nothing here reads a float.
 
 Rationals are plain ``fractions.Fraction`` values (always reduced,
 positive denominator).
@@ -17,11 +19,10 @@ positive denominator).
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from functools import cache
 from itertools import compress
-from math import gcd, isfinite, isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import attrgetter, index
 
 from .errors import EffortExceeded
@@ -547,52 +548,38 @@ def _divmod_poly(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], 
     return q, r
 
 
-def rational_reconstruct(approx, height_bound: int) -> Fraction | None:
-    """Recover a rational of bounded height from a real approximation.
+def rational_reconstruct(x, height_bound: int) -> Fraction | None:
+    """The rational p/q with |p|, q <= H = height_bound that lies strictly
+    within 1/(2H^2) of the exact rational x (an int or a Fraction), or
+    None. Raises TypeError for any other x: a float or a decimal string
+    would first have to be read at some precision, which is the caller's
+    choice, not this function's.
 
-    Reads the exact value tn/td of ``approx``: an int or Fraction as it
-    is, a float by ``as_integer_ratio``, anything else (an mpmath number,
-    a string) as an mpf, the one case that imports mpmath. Returns the
-    last convergent p/q of tn/td with |p|, q <= height_bound, if it lies
-    within 2**-tbits of tn/td, or None, for the caller to re-verify
-    exactly; tbits = max(8, prec // 2), with prec mpmath's working
-    precision if it is loaded and its default of 53 bits if not. Raises
-    ValueError for an infinite or NaN ``approx``.
-
-    The continued fraction is walked on integers: Euclid's ``divmod``
-    gives the partial quotients a, and p = a*p' + p'', q = a*q' + q'' the
-    convergents. Each convergent lies closer to tn/td than the one before,
-    so only the last one within the height bound is tested, as
-    |tn*q - p*td| * 2**tbits <= td*q.
+    Two rationals of height at most H differ by at least 1/H^2, so at
+    most one lies that close to x. By Legendre's theorem (Hardy & Wright,
+    Thm. 184) such a p/q is a convergent of x, as |x - p/q| < 1/(2H^2)
+    <= 1/(2q^2). The continued fraction of |x| is walked on integers:
+    Euclid's ``divmod`` gives the partial quotients a, and p = a*p' + p'',
+    q = a*q' + q'' the convergents, whose p and q never decrease. Each
+    convergent lies closer to x than the one before, so only the last one
+    within the height bound is tested, as 2H^2 * |tn*q - p*td| < td*q for
+    |x| = tn/td. A None is therefore a proof that no rational of height at
+    most H lies within the radius.
     """
-    if isinstance(approx, (int, Fraction)):
-        tn, td = approx.numerator, approx.denominator
-    elif isinstance(approx, float):
-        if not isfinite(approx):
-            raise ValueError(f"no rational value: {approx}")
-        tn, td = approx.as_integer_ratio()
-    else:
-        import mpmath as mp
-
-        v = mp.mpf(approx)
-        if not mp.isfinite(v):
-            raise ValueError(f"no rational value: {approx}")
-        sign, man, exp, _ = v._mpf_
-        tn = (-int(man) if sign else int(man)) << max(exp, 0)
-        td = 1 << max(-exp, 0)
-    loaded = sys.modules.get("mpmath")
-    tbits = max(8, (loaded.mp.prec if loaded else 53) // 2)
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"not an int or a Fraction: {x!r}")
+    tn, td = abs(x.numerator), x.denominator
     p0, q0, p1, q1 = 0, 1, 1, 0
     n, d = tn, td
     while d:
         a, rem = divmod(n, d)
         p, q = a * p1 + p0, a * q1 + q0
-        if abs(p) > height_bound or q > height_bound:
+        if p > height_bound or q > height_bound:
             break
         p0, q0, p1, q1 = p1, q1, p, q
         n, d = d, rem
-    if q1 and abs(tn * q1 - p1 * td) << tbits <= td * q1:
-        return Fraction(p1, q1)
+    if q1 and 2 * height_bound**2 * abs(tn * q1 - p1 * td) < td * q1:
+        return Fraction(p1 if x >= 0 else -p1, q1)
     return None
 
 

@@ -232,7 +232,9 @@ def sqrt_in_field(beta: CubicElement, digits: int = 256) -> CubicElement | None:
     tie keeps the order (+, -). The order cannot change an answer: beta
     has only the roots +-gamma, either sign that squares back returns the
     one with positive real embedding, and None needs both signs to fail.
-    It saves the wrong sign's exact check.
+    It saves the wrong sign's exact check. A sign that puts E*r farther
+    than 1/4 from an integer is not tried at all, since the bound above
+    puts a root's E*r within 1/4 of its integer.
     """
     if beta.is_zero():
         return beta
@@ -285,12 +287,16 @@ def _sqrt_attempt(beta: CubicElement) -> CubicElement | None:
         V = isqrt((z - zr) << (P - 1))
         U = (zi << P) // (2 * V)
     V3 = Q3 * V >> P
-    # E*r = |m|*(G +- U)/2^P for the root's first coordinate r = (G +- U)/(3D * 2^P):
-    # the sign that puts it nearer to an integer goes first
+    # E*r = |m|*(G +- U)/2^P for the root's first coordinate r = (G +- U)/(3D * 2^P): the
+    # error bound puts the root's within 1/4 of an integer, so a sign farther off is not a
+    # root and is skipped, and the sign that puts it nearer goes first
     one = 1 << P
-    plus, minus = (am * (G + U)) % one, (am * (G - U)) % one
+    plus, minus = am * (G + U) % one, am * (G - U) % one
+    plus, minus = min(plus, one - plus), min(minus, one - minus)
     aW, WW = abs(W), W * W
-    for sign in ((-1, 1) if min(minus, one - minus) < min(plus, one - plus) else (1, -1)):
+    for sign, off in ((-1, minus), (1, plus)) if minus < plus else ((1, plus), (-1, minus)):
+        if off > one >> 2:
+            continue
         # invert the embedding matrix; G and U + iV are D and 2D times the root's embeddings:
         # 3D*r = G + U, 6D*w*s = 2G - U + sqrt(3)V, 6D*w^2*t = 2G - U - sqrt(3)V; so, as
         # E = 3|m|*D, E*r = |m|(G + U)/2^P, E*s = m(2G - U + sqrt(3)V)/(2|W|) and

@@ -94,8 +94,18 @@ def naive_elem_mul(m: int, a, b):
 def naive_norm(m: int, comps):
     """N(r + s*w + t*w^2) as the determinant of multiplication by it on the
     basis (1, w, w^2), expanded along the first row."""
+    return _det3(_mul_rows(m, comps))
+
+
+def _mul_rows(m: int, comps):
+    """The rows of the matrix of multiplication by r + s*w + t*w^2 on the
+    basis (1, w, w^2): its columns are the products with 1, w and w^2."""
     r, s, t = comps
-    rows = ((r, m * t, m * s), (s, r, m * t), (t, s, r))
+    return ((r, m * t, m * s), (s, r, m * t), (t, s, r))
+
+
+def _det3(rows):
+    """A 3x3 determinant, expanded along the first row."""
     (a, b, c), (d, e, f), (g, h, i) = rows
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
@@ -146,42 +156,21 @@ def per_step_rho(n: int, budget: int) -> tuple[int | None, int]:
     return None, used
 
 
-def _to_fraction_exact(x) -> Fraction:
-    """Exact Fraction value of a binary float / mpf / int / Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    import mpmath as mp
-
-    v = mp.mpf(x)
-    sign, man, exp, _ = v._mpf_
-    man = int(man)
-    if sign:
-        man = -man
-    if exp >= 0:
-        return Fraction(man * (1 << exp))
-    return Fraction(man, 1 << (-exp))
-
-
-def fraction_reconstruct(approx, height_bound: int) -> Fraction | None:
+def fraction_reconstruct(x, height_bound: int) -> Fraction | None:
     """Continued-fraction reconstruction on Fraction values: the reference
     that the integer walk of arith.rational_reconstruct must match, None
-    included. Finite input only."""
-    import mpmath as mp
-
-    target = _to_fraction_exact(approx)
-    tol = Fraction(1, 1 << max(8, mp.mp.prec // 2))
-
+    included. It tests every convergent of the exact rational x, not only
+    the last one within the height bound, and keeps the last one of height
+    at most H that lies strictly within 1/(2H^2) of x."""
+    target = Fraction(x)
+    tol = Fraction(1, 2 * height_bound**2)
     best = None
     p0, q0 = 1, 0
     rem = target
     a = rem.numerator // rem.denominator
     p1, q1 = a, 1
     while True:
-        if abs(p1) > height_bound or q1 > height_bound:
-            break
-        if abs(target - Fraction(p1, q1)) <= tol:
+        if abs(p1) <= height_bound and q1 <= height_bound and abs(target - Fraction(p1, q1)) < tol:
             best = Fraction(p1, q1)
         rem -= a
         if rem == 0:
@@ -192,61 +181,55 @@ def fraction_reconstruct(approx, height_bound: int) -> Fraction | None:
     return best
 
 
-def reference_sqrt_in_field(beta, digits: int = 256):
-    """The numeric square root with a 256-digit floor and a retry at four
-    times the precision: the reference that field.sqrt_in_field's single
-    attempt must match wherever this finds a root."""
-    from purecubic.arith import perfect_square_root
-
-    if beta.is_zero():
-        return beta
-    if beta.is_rational():
-        root = perfect_square_root(beta.r)
-        return beta.field.element(root) if root is not None else None
-    if perfect_square_root(beta.norm()) is None:
+def _rational_sqrt(x: Fraction) -> Fraction | None:
+    """The non-negative square root of the rational x, or None, by isqrt."""
+    if x < 0:
         return None
-    h = max(max(abs(c.numerator), c.denominator) for c in beta.components())
-    height_bound = h * h * (1 << 24)
-    dps = max(digits, 2 * len(str(height_bound)) + 24)
-    for precision in (dps, 4 * dps):
-        gamma = _reference_sqrt_attempt(beta, precision, height_bound)
-        if gamma is not None:
-            return gamma
-    return None
+    num, den = isqrt(x.numerator), isqrt(x.denominator)
+    return Fraction(num, den) if (num * num, den * den) == (x.numerator, x.denominator) else None
 
 
-def _reference_sqrt_attempt(beta, dps: int, height_bound: int):
-    import mpmath as mp
-    from purecubic.arith import rational_reconstruct
-    from purecubic.field import CubicElement
+def reference_sqrt_in_field(beta):
+    """The square root of beta with positive real embedding, or None, from
+    the resolvent quartic on Fractions and sympy's rational roots: the
+    reference that field.sqrt_in_field must match. No purecubic numerics.
 
-    m = beta.field.m
-    with mp.workdps(dps):
-        w = mp.cbrt(mp.mpf(m)) if m > 0 else -mp.cbrt(mp.mpf(-m))  # the real embedding of w
-        zeta = mp.expjpi(mp.mpf(2) / 3)  # primitive cube root of unity
-        r, s, t = (mp.mpf(c.numerator) / c.denominator for c in beta.components())
-        e_real = r + s * w + t * w * w
-        e_cplx = r + s * w * zeta + t * w * w * zeta**2
-        if e_real < 0:
-            return None  # the field is real, so beta < 0 has no square root
-        g_real = mp.sqrt(e_real)
-        for sign in (1, -1):
-            g_cplx = sign * mp.sqrt(e_cplx)
-            # invert the embedding matrix: conjugate coordinates come in
-            # a real + complex-pair pattern
-            rr = (g_real + 2 * mp.re(g_cplx)) / 3
-            ss = (g_real + 2 * mp.re(zeta**2 * g_cplx)) / (3 * w)
-            tt = (g_real + 2 * mp.re(zeta * g_cplx)) / (3 * w * w)
-            comps = []
-            for v in (rr, ss, tt):
-                c = rational_reconstruct(v, height_bound)
-                if c is None:
-                    break
-                comps.append(c)
-            else:
-                gamma = CubicElement(beta.field, *comps)
-                if gamma * gamma == beta:
-                    return gamma.positive_embedding()
+    If gamma^2 = beta, gamma is a root of x^3 - a*x^2 + b*x - c with
+    a = Tr(gamma) and c = N(gamma) = +-sqrt(N(beta)). A complex pair of
+    embeddings adds a positive factor to the norm, so c has the sign of
+    gamma's real embedding, and c > 0 picks the root sought. The conjugates
+    of beta are those of gamma squared, so E1 = Tr(beta) = a^2 - 2b and
+    E2 = (E1^2 - Tr(beta^2))/2 = b^2 - 2ac: a is a rational root of
+    (A^2 - E1)^2 - 8cA - 4E2, and b = (a^2 - E1)/2. The cubic reads
+    gamma*(beta + b) = a*beta + c, a linear system for gamma's coordinates
+    (beta + b != 0, as beta is not rational). Each candidate is confirmed
+    by squaring."""
+    import sympy
+
+    field, m = beta.field, beta.field.m
+    comps = beta.components()
+    if not any(comps[1:]):
+        root = _rational_sqrt(comps[0])
+        return None if root is None else field.element(root)
+    c = _rational_sqrt(naive_norm(m, comps))
+    if c is None:
+        return None
+    e1 = 3 * comps[0]
+    e2 = (e1 * e1 - 3 * naive_elem_square(m, comps)[0]) / 2
+    coeffs = [1, 0, -2 * e1, -8 * c, e1 * e1 - 4 * e2]  # (A^2 - E1)^2 - 8cA - 4E2, highest degree first
+    quartic = sympy.Poly([sympy.Rational(v.numerator, v.denominator) for v in coeffs], sympy.Symbol("A"),
+                         domain="QQ")
+    r, s, t = comps
+    for root in quartic.ground_roots():
+        a = Fraction(int(root.p), int(root.q))
+        b = (a * a - e1) / 2
+        rows = _mul_rows(m, (r + b, s, t))
+        rhs = (a * r + c, a * s, a * t)
+        det = _det3(rows)
+        gamma = tuple(_det3([row[:i] + (v,) + row[i + 1:] for row, v in zip(rows, rhs)]) / det
+                      for i in range(3))
+        if naive_elem_square(m, gamma) == comps:
+            return field.element(*gamma)
     return None
 
 

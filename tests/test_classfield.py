@@ -12,6 +12,7 @@ from purecubic.classfield import (
     unramified_conditions,
 )
 from purecubic.errors import AlphaIsSquare, EffortExceeded, InvalidPoint
+from purecubic.field import CubicField, binomial_minpoly
 from purecubic.mordell import MordellCurve, affine
 
 
@@ -150,15 +151,13 @@ class TestSqrtExtMinpoly:
             sqrt_ext_minpoly(r)
 
     def test_numeric_root_vanishes(self):
-        import mpmath as mp
-
+        # exactly: alpha = a - b*e^2*w is a root of its cubic in K, and the sextic is that
+        # cubic at x^2, so the sextic vanishes at sqrt(alpha)
         r = kappa(113, 3, Fraction(97, 4), Fraction(847, 8))
-        with mp.workdps(60):
-            # alpha = a - b*e^2*w at the real embedding of w = cbrt(113)
-            alpha_num = r.a - r.b * r.e**2 * mp.cbrt(113)
-            root = mp.sqrt(alpha_num)
-            val = r.sextic(root)
-            assert abs(val) < mp.mpf(10) ** -40
+        K = CubicField(113)
+        cubic = binomial_minpoly(r.a, r.b * r.e**2, K)
+        assert r.alpha == K.element(r.a, -r.b * r.e**2) and cubic(r.alpha) == K.element(0)
+        assert r.sextic.coeffs[0::2] == cubic.coeffs and not any(r.sextic.coeffs[1::2])
 
 
 class TestKappaPairwiseDistinct:

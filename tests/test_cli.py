@@ -329,7 +329,8 @@ def test_table_not_an_object(capsys, tmp_path):
     (["-c", "from purecubic import CubicField, sqrt_in_field; "
             "print(sqrt_in_field(CubicField(2).element(5, 0, -1)))"], "-1 + 1*w + 1*w^2 (w = cbrt(2))\n"),
     (["-c", "from purecubic.arith import rational_reconstruct; from fractions import Fraction; "
-            "print(rational_reconstruct(0.5, 10), rational_reconstruct(Fraction(129, 100), 10**6))"], "1/2 129/100\n"),
+            "print(rational_reconstruct(Fraction(1, 2), 10), rational_reconstruct(Fraction(129, 100), 10**6))"],
+     "1/2 129/100\n"),
 ])
 def test_mpmath_is_not_imported(argv, stdout):
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import prod
 
@@ -386,6 +387,23 @@ class TestIntegerNormAndSignOrder:
             beta = beta * K.element(*self.square_norms[m])
             assert sqrt_in_field(beta) is None
         assert sqrt_in_field(beta) == reference_sqrt_in_field(beta)
+
+    def test_a_far_sign_is_not_squared(self, monkeypatch):
+        # gamma^2*u, u of norm 1 and not a square, for 124 gamma = a + b*w + (c/2)*w^2 in each of
+        # three fields: both signs used to be built and squared, 744 products in all; a sign whose
+        # E*r lies farther than 1/4 from an integer is now skipped
+        betas = [CubicField(m).element(a, b, Fraction(c, 2)) ** 2 * CubicField(m).element(*u)
+                 for m, u in self.square_norms.items()
+                 for a, b, c in itertools.product(range(-2, 3), repeat=3) if (a, b, c) != (0, 0, 0)]
+        products, mul = [], CubicElement.__mul__
+
+        def counted(self, other):
+            products.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(CubicElement, "__mul__", counted)
+        assert all(sqrt_in_field(beta) is None for beta in betas)
+        assert (len(betas), len(products)) == (372, 380)
 
 
 class TestProvedDenominator:

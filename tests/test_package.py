@@ -1,5 +1,6 @@
 """The package surface: what an import loads, and the contract of the value types."""
 
+import ast
 import copy
 import inspect
 import json
@@ -44,6 +45,22 @@ def test_import_loads_no_submodule():
     assert probe() == {"import": []}
 
 
+def test_the_package_imports_only_the_standard_library():
+    # every import in a source file, at module level or inside a function, names the
+    # package's own modules or the standard library's
+    for path in sorted(Path(SRC, "purecubic").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one: the package's own
+            for name in names:
+                top = name.partition(".")[0]
+                assert top == "purecubic" or top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
 @pytest.mark.parametrize("argv, layers", [
     (["norm", "2", "1", "2", "3"], "field"),
     (["curve-add", "-2", "3", "5", "3", "5"], "mordell"),
@@ -82,7 +99,8 @@ def test_star_import_binds_every_name():
 
 
 # "nonexistent" and the names deleted from the surface
-@pytest.mark.parametrize("name", ["nonexistent", "nonsquare_certificate", "kappa_pairwise_distinct", "Rat"])
+@pytest.mark.parametrize("name", ["nonexistent", "nonsquare_certificate", "kappa_pairwise_distinct", "Rat",
+                                  "rational_reconstruct"])
 def test_unknown_name_raises_attribute_error(name):
     import purecubic
 
