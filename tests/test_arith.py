@@ -254,8 +254,9 @@ class TestRationalReconstruct:
     def test_exact_half(self):
         assert rational_reconstruct(Fraction(1, 2), 10) == Fraction(1, 2)
         assert rational_reconstruct(-7, 10) == -7
-        with pytest.raises(TypeError):
-            rational_reconstruct(0.5, 10)
+        for value in (0.5, Decimal("0.5"), "1/2"):
+            with pytest.raises(TypeError):
+                rational_reconstruct(value, 10)
 
     def test_x_of_2p(self):
         # within the radius 1/(2*10^12) of 129/100, and just outside it
@@ -280,7 +281,7 @@ class TestRationalReconstruct:
     @pytest.mark.parametrize("x", ["inf", "-inf", "nan"])
     def test_not_finite_rejected(self, x):
         # only an exact rational is read: floats, Decimals and strings are refused, finite or not
-        for value in (float(x), Decimal(x), x, 0.5, Decimal("0.5"), "1/2"):
+        for value in (float(x), Decimal(x), x):
             with pytest.raises(TypeError):
                 rational_reconstruct(value, 10)
 

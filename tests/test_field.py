@@ -390,8 +390,8 @@ class TestIntegerNormAndSignOrder:
 
     def test_a_far_sign_is_not_squared(self, monkeypatch):
         # gamma^2*u, u of norm 1 and not a square, for 124 gamma = a + b*w + (c/2)*w^2 in each of
-        # three fields: both signs used to be built and squared, 744 products in all; a sign whose
-        # E*r lies farther than 1/4 from an integer is now skipped
+        # three fields: a sign whose E*r lies farther than 1/4 from an integer is not built and
+        # squared, so these take 380 products, not the 744 of squaring both signs of each
         betas = [CubicField(m).element(a, b, Fraction(c, 2)) ** 2 * CubicField(m).element(*u)
                  for m, u in self.square_norms.items()
                  for a, b, c in itertools.product(range(-2, 3), repeat=3) if (a, b, c) != (0, 0, 0)]
