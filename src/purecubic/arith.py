@@ -34,17 +34,20 @@ _set = object.__setattr__
 class Value:
     """Base of the package's immutable value types.
 
-    A subclass names its fields in ``__slots__``, in the order its
-    ``__init__`` takes them, and sets each once with ``_set``. Equality
-    and hashing use ``_key``, a C-level getter of those fields made once
-    per class; a value never equals an instance of another class. Repr,
-    copy and pickle rebuild from the fields through ``__init__``.
+    A subclass names its stored fields in ``__slots__`` and sets each
+    once with ``_set``. Equality and hashing use ``_key``, a C-level
+    getter of those fields made once per class; a value never equals an
+    instance of another class. Repr, copy and pickle rebuild through
+    ``__init__`` from the attributes ``_fields`` names, in its order:
+    ``__slots__``, unless a class that stores another form names them.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls.__slots__)
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -56,10 +59,10 @@ class Value:
         return hash(self._key(self))
 
     def _args(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __repr__(self):
-        args = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._args()))
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._args()))
         return f"{type(self).__name__}({args})"
 
     def __reduce__(self):

@@ -8,9 +8,10 @@ binomial a - b*w exactly when 2rt + s^2 = 0. Nontrivial solutions
     (x, y)       ->  alpha = -x^2/2y + (b*x/y)*w + (b^2/y)*w^2,
                      alpha^2 = (x^4 + 8Mx)/(4y^2) - b*w,  M = m*b^3
 
-Both maps work on the numerators and denominators of b, s, t and of
-x, y: each output coordinate is one Fraction(num, den), with no Fraction
-arithmetic on the way.
+Both maps work on the integers of b, x, y and of the stored element
+(R + S*w + T*w^2)/D, with no Fraction arithmetic on the way: a point's
+coordinates are one Fraction(num, den) each, and an element is built in
+lowest terms from xi = x/b and eta = y/b^2, as star builds its product.
 
 Negating alpha negates the point's y, so a - b*w pins alpha down only
 up to sign. is_square_binomial, the one decision entry, tests the norm
@@ -37,16 +38,20 @@ slope is b*mu:
 
 where (b*xi3, b^2*eta3) = -(P1 + P2), whose element is (-xi3^2/(2*eta3),
 xi3/eta3, 1/eta3): b has dropped out. Every intermediate is a numerator
-and denominator in lowest terms. xi and eta are reduced first (the
-stored t makes eta's reduction free), a sum takes the gcd of its
-denominators first, and a product takes the cross gcds, as Fraction's own
-arithmetic does (Henrici; Knuth, TAOCP vol. 2, 4.5.1). The reason is
-size: for b = 1 the denominators of xi and eta are z^2 and z^3 for one
-integer z, and the chord's differences cancel most of what the operands
-share. A fraction left unreduced carries those factors into each later
-product, so the numbers, and the cost of the gcds that finally remove
-them, grow with every step. Only the three output coordinates are built
-as Fractions, one each, as _alpha builds them.
+and denominator in lowest terms. xi = S/T and eta = D/T are reduced
+first, a sum takes the gcd of its denominators first, and a product
+takes the cross gcds, as Fraction's own arithmetic does (Henrici; Knuth,
+TAOCP vol. 2, 4.5.1). The reason is size: for b = 1 the denominators of
+xi and eta are z^2 and z^3 for one integer z, and the chord's
+differences cancel most of what the operands share. A fraction left
+unreduced carries those factors into each later product, so the numbers,
+and the cost of the gcds that finally remove them, grow with every step.
+The output is built in lowest terms with one gcd and no Fraction. With
+xi3 = p/q and eta3 = u/v reduced, the element is (-p^2*v, 2pq*v,
+2q^2*v)/(2q^2*u), and its four integers share exactly G = gcd(c*v,
+2q^2), c = gcd(p^2, 2): p shares nothing with q, nor u with v, so the
+first three share c*v, and u adds nothing. Dividing the factors c*v and
+2q^2 by G, not the four products, keeps each division small.
 """
 
 from __future__ import annotations
@@ -93,19 +98,14 @@ class BinomialSquareWitness(Value):
 def _point(b: Fraction, alpha: CubicElement) -> CurvePoint:
     """The point (b*s/t, b^2/t) of alpha, t != 0, one Fraction a coordinate; unvalidated, see _binomial."""
     bn, bd = b.numerator, b.denominator
-    s, t = alpha.s, alpha.t
-    tn, td = t.numerator, t.denominator
-    return CurvePoint(Fraction(bn * s.numerator * td, bd * s.denominator * tn),
-                      Fraction(bn * bn * td, bd * bd * tn))
+    return CurvePoint(Fraction(bn * alpha.S, bd * alpha.T), Fraction(bn * bn * alpha.D, bd * bd * alpha.T))
 
 
 def _alpha(field: CubicField, b: Fraction, P: CurvePoint) -> CubicElement:
-    """The element of an affine point P with y != 0 on y^2 = x^3 - m*b^3, one Fraction a coordinate."""
+    """The element of an affine point P with y != 0 on y^2 = x^3 - m*b^3: that of xi = x/b, eta = y/b^2."""
     bn, bd = b.numerator, b.denominator
-    xn, xd, yn, yd = P.x.numerator, P.x.denominator, P.y.numerator, P.y.denominator
-    u = xd * yn  # x/y = xn*yd/u
-    return field.element(Fraction(-xn * xn * yd, 2 * xd * u), Fraction(bn * xn * yd, bd * u),
-                         Fraction(bn * bn * yd, bd * bd * yn))
+    xi = _mul(P.x.numerator, P.x.denominator, bd, bn)
+    return _element(field, *xi, *_mul(P.y.numerator, P.y.denominator, bd * bd, bn * bn))
 
 
 def _binomial(field: CubicField, alpha: CubicElement) -> tuple[int, int, int, int]:
@@ -218,10 +218,14 @@ def _mul(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
     return (-n, -d) if d < 0 else (n, d)
 
 
-def _eta(alpha: CubicElement) -> tuple[int, int]:
-    """eta = d/t = 1/t of alpha, t != 0, in lowest terms: the stored t is, so no gcd is needed."""
-    tn, td = alpha.t.numerator, alpha.t.denominator
-    return (td, tn) if tn > 0 else (-td, -tn)
+def _element(field: CubicField, p: int, q: int, u: int, v: int) -> CubicElement:
+    """(-xi^2/(2*eta), xi/eta, 1/eta) for xi = p/q, eta = u/v != 0 in lowest terms, q, v > 0: the four
+    integers of (-p^2*v, 2pq*v, 2q^2*v)/(2q^2*u) share exactly G = gcd(c*v, 2q^2), c = gcd(p^2, 2)
+    (module docstring), so the factors c*v and 2q^2 are divided by G, G taking u's sign."""
+    c, q2 = 2 - (p & 1), 2 * q * q
+    G = gcd(c * v, q2) if u > 0 else -gcd(c * v, q2)
+    k, Q = c * v // G, q2 // G
+    return CubicElement._of(field, -(p * p // c) * k, (2 * p * q // c) * k, Q * v, Q * u, True)
 
 
 def star(alpha1: CubicElement, alpha2: CubicElement) -> CubicElement:
@@ -251,7 +255,7 @@ def star(alpha1: CubicElement, alpha2: CubicElement) -> CubicElement:
         raise NotBinomial(f"twist scales differ: {Fraction(B1, D1)} vs {Fraction(B2, D2)}")
     bn, bd = _lowest(B1, D1)
     a1, c1 = _lowest(s1, t1)  # xi1 = s1/t1
-    e1, f1 = _eta(alpha1)
+    e1, f1 = _lowest(d1, t1)  # eta1 = d1/t1
     if s1 == s2 and t1 == t2 and d1 == d2:  # alpha2 = alpha1: the tangent
         mn, md = _mul(*_mul(3, 2, *_mul(a1 * a1, c1 * c1, f1, e1)), bd, bn)  # 3*xi1^2/(2*b*eta1)
         a2, c2 = a1, c1
@@ -260,10 +264,10 @@ def star(alpha1: CubicElement, alpha2: CubicElement) -> CubicElement:
         if a1 == a2 and c1 == c2:  # one x, another element: P2 = -P1, and the chord meets infinity
             return field.one
         xn, xd = _add(a2, c2, -a1, c1)
-        mn, md = _mul(*_add(*_eta(alpha2), -e1, f1), xd, xn)  # (eta2 - eta1)/(xi2 - xi1)
+        mn, md = _mul(*_add(*_lowest(d2, t2), -e1, f1), xd, xn)  # (eta2 - eta1)/(xi2 - xi1)
     p, q = _add(*_mul(bn, bd, mn * mn, md * md), *_add(-a1, c1, -a2, c2))  # xi3 = b*mu^2 - xi1 - xi2
     u, v = _add(*_mul(mn, md, *_add(p, q, -a1, c1)), e1, f1)  # eta3 = mu*(xi3 - xi1) + eta1
-    return field.element(Fraction(-p * p * v, 2 * q * q * u), Fraction(p * v, q * u), Fraction(v, u))
+    return _element(field, p, q, u, v)
 
 
 def is_square_binomial(field: CubicField, a, b) -> CubicElement | None:

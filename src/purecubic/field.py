@@ -2,9 +2,10 @@
 m that is not a cube (x^3 - m is then irreducible). Nothing here factors
 m: only the unramified conditions of classfield need it cubefree.
 
-Elements are stored on the basis (1, w, w^2) with rational coordinates;
-the norm and the product work on integer numerators over one common
-denominator. Besides ring arithmetic, norm and trace, this module
+Elements are stored on the basis (1, w, w^2) as integers R, S, T over
+one denominator D > 0, in lowest terms; the arithmetic and the square
+root work on them, and Fractions are built only when a coordinate or a
+norm is read. Besides ring arithmetic, norm and trace, this module
 provides a verified general square root: an element whose norm is not a
 rational square is rejected exactly. For the others, every coordinate
 of a root is an integer over E = 3|m| times the input's denominator
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .arith import IntPoly, Value, _set, icbrt, perfect_cube_root, perfect_square_root
 from .errors import FieldMismatch
@@ -45,7 +46,7 @@ class CubicField(Value):
 
     @property
     def one(self) -> "CubicElement":
-        return self.element(1)
+        return CubicElement._of(self, 1, 0, 0, 1, True)
 
     @property
     def omega(self) -> "CubicElement":
@@ -58,35 +59,60 @@ class CubicField(Value):
 class CubicElement(Value):
     """r + s*w + t*w^2 in a fixed CubicField.
 
-    Coordinates are stored as Fractions, so arithmetic on elements built
-    from ints or floats stays exact.
+    Stored as integers (R, S, T, D), the coordinates R/D, S/D and T/D,
+    with D > 0 and gcd(R, S, T, D) = 1, so arithmetic on elements built
+    from ints, Fractions or floats stays exact. r, s, t and components()
+    build their Fractions when read.
     """
 
-    __slots__ = ("field", "r", "s", "t")
+    __slots__ = ("field", "R", "S", "T", "D")
+    _fields = ("field", "r", "s", "t")
 
     def __init__(self, field: CubicField, r, s, t):
+        r = r if r.__class__ is Fraction else Fraction(r)
+        s = s if s.__class__ is Fraction else Fraction(s)
+        t = t if t.__class__ is Fraction else Fraction(t)
+        # the lcm of reduced denominators leaves no factor common to all four
+        D = lcm(r.denominator, s.denominator, t.denominator)
+        for name, value in zip(self.__slots__, (field, r.numerator * (D // r.denominator),
+                                                s.numerator * (D // s.denominator),
+                                                t.numerator * (D // t.denominator), D)):
+            _set(self, name, value)
+
+    @classmethod
+    def _of(cls, field: CubicField, R: int, S: int, T: int, D: int, reduced: bool = False) -> "CubicElement":
+        """(R + S*w + T*w^2)/D, D != 0, stored in lowest terms by one gcd; a caller whose integers
+        already are, with D > 0, passes reduced=True and pays none."""
+        if not reduced:
+            g = gcd(D, R, S, T)
+            if D < 0:
+                g = -g
+            if g != 1:
+                R, S, T, D = R // g, S // g, T // g, D // g
+        self = object.__new__(cls)
         _set(self, "field", field)
-        _set(self, "r", r if r.__class__ is Fraction else Fraction(r))
-        _set(self, "s", s if s.__class__ is Fraction else Fraction(s))
-        _set(self, "t", t if t.__class__ is Fraction else Fraction(t))
+        _set(self, "R", R)
+        _set(self, "S", S)
+        _set(self, "T", T)
+        _set(self, "D", D)
+        return self
+
+    r = property(lambda self: Fraction(self.R, self.D))
+    s = property(lambda self: Fraction(self.S, self.D))
+    t = property(lambda self: Fraction(self.T, self.D))
 
     def components(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.r, self.s, self.t)
 
     def _integral(self) -> tuple[int, int, int, int]:
-        """(R, S, T, D): the coordinates as R/D, S/D, T/D, D the lcm of their denominators."""
-        r, s, t = self.r, self.s, self.t
-        dr, ds, dt = r.denominator, s.denominator, t.denominator
-        if dr == ds == dt:
-            return r.numerator, s.numerator, t.numerator, dr
-        d = lcm(dr, ds, dt)
-        return r.numerator * (d // dr), s.numerator * (d // ds), t.numerator * (d // dt), d
+        """(R, S, T, D): the coordinates as R/D, S/D, T/D, D the lcm of their denominators, as stored."""
+        return self.R, self.S, self.T, self.D
 
     def is_rational(self) -> bool:
-        return self.s == 0 and self.t == 0
+        return not (self.S or self.T)
 
     def is_zero(self) -> bool:
-        return self.r == 0 and self.s == 0 and self.t == 0
+        return not (self.R or self.S or self.T)
 
     def _coerce(self, other) -> "CubicElement":
         if isinstance(other, CubicElement):
@@ -101,7 +127,9 @@ class CubicElement(Value):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return CubicElement(self.field, self.r + o.r, self.s + o.s, self.t + o.t)
+        d1, d2 = self.D, o.D
+        return CubicElement._of(self.field, self.R * d2 + o.R * d1, self.S * d2 + o.S * d1,
+                                self.T * d2 + o.T * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -109,28 +137,24 @@ class CubicElement(Value):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return CubicElement(self.field, self.r - o.r, self.s - o.s, self.t - o.t)
+        d1, d2 = self.D, o.D
+        return CubicElement._of(self.field, self.R * d2 - o.R * d1, self.S * d2 - o.S * d1,
+                                self.T * d2 - o.T * d1, d1 * d2)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __neg__(self):
-        return CubicElement(self.field, -self.r, -self.s, -self.t)
+        return CubicElement._of(self.field, -self.R, -self.S, -self.T, self.D, True)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
         m = self.field.m
-        r1, s1, t1, d1 = self._integral()
-        r2, s2, t2, d2 = o._integral()
-        d = d1 * d2
-        return CubicElement(
-            self.field,
-            Fraction(r1 * r2 + m * (s1 * t2 + t1 * s2), d),
-            Fraction(r1 * s2 + s1 * r2 + m * t1 * t2, d),
-            Fraction(r1 * t2 + s1 * s2 + t1 * r2, d),
-        )
+        r1, s1, t1, r2, s2, t2 = self.R, self.S, self.T, o.R, o.S, o.T
+        return CubicElement._of(self.field, r1 * r2 + m * (s1 * t2 + t1 * s2), r1 * s2 + s1 * r2 + m * t1 * t2,
+                                r1 * t2 + s1 * s2 + t1 * r2, self.D * o.D)
 
     __rmul__ = __mul__
 
@@ -149,11 +173,10 @@ class CubicElement(Value):
 
     def norm(self) -> Fraction:
         """N(r + s*w + t*w^2) = r^3 + m s^3 + m^2 t^3 - 3m r s t."""
-        r, s, t, d = self._integral()
-        return Fraction(_norm_numerator(self.field.m, r, s, t), d**3)
+        return Fraction(_norm_numerator(self.field.m, self.R, self.S, self.T), self.D**3)
 
     def trace(self) -> Fraction:
-        return 3 * self.r
+        return Fraction(3 * self.R, self.D)
 
     def sign_of_embedding(self) -> int:
         """Sign of the real embedding of a nonzero element.
@@ -189,7 +212,7 @@ def sqrt_in_field(beta: CubicElement, digits: int = 256) -> CubicElement | None:
 
     A beta whose norm is not the square of a rational answers None at
     once, and that None is a proof: N(gamma^2) = N(gamma)^2. The test is
-    one integer norm: with beta = (R + S*w + T*w^2)/D from _integral,
+    one integer norm: with beta = (R + S*w + T*w^2)/D as stored,
     N(beta) = n/D^3, n = R^3 + m*S^3 + m^2*T^3 - 3m*R*S*T, which is the
     square of a rational exactly when n*D = n*D^4/D^3 is a positive
     integer square. Otherwise
@@ -241,18 +264,25 @@ def sqrt_in_field(beta: CubicElement, digits: int = 256) -> CubicElement | None:
     if beta.is_rational():
         root = perfect_square_root(beta.r)
         return beta.field.element(root) if root is not None else None
-    R, S, T, D = beta._integral()
-    nD = _norm_numerator(beta.field.m, R, S, T) * D
+    nD = _norm_numerator(beta.field.m, beta.R, beta.S, beta.T) * beta.D
     if nD <= 0 or isqrt(nD) ** 2 != nD:
         return None
     gamma = _sqrt_attempt(beta)
-    h = max(max(abs(c.numerator), c.denominator) for c in beta.components())
-    H = h * h << 24
-    # the cut: it stays only while perfbench pins sqrt_omega, w in Q(cbrt(33554467^2)), as a
-    # failing operation; without it every None here is a proof
-    if gamma is None or any(abs(c.numerator) > H or c.denominator > H for c in gamma.components()):
+    if gamma is None:
+        return None
+    # the cut: it stays only while perfbench pins sqrt_omega, w in Q(cbrt(33554467^2)), as a failing
+    # operation; without it every None here is a proof. Its gcds wait until gamma's largest integer, a bound
+    # on its height, passes 2^(2(bits(D) - 1)/3 + 24) <= h^2 * 2^24, as beta's D is at most h^3
+    top = max(abs(gamma.R), abs(gamma.S), abs(gamma.T), gamma.D)
+    if top.bit_length() > 2 * (beta.D.bit_length() - 1) // 3 + 24 and _height(gamma) > _height(beta) ** 2 << 24:
         return None
     return gamma
+
+
+def _height(e: CubicElement) -> int:
+    """The largest |numerator| or denominator of e's coordinates in lowest terms, one gcd each."""
+    D = e.D
+    return max(max(abs(X), D) // gcd(X, D) for X in (e.R, e.S, e.T))
 
 
 def _sqrt_attempt(beta: CubicElement) -> CubicElement | None:
@@ -302,13 +332,14 @@ def _sqrt_attempt(beta: CubicElement) -> CubicElement | None:
         # E = 3|m|*D, E*r = |m|(G + U)/2^P, E*s = m(2G - U + sqrt(3)V)/(2|W|) and
         # E*t = |m|(2G - U - sqrt(3)V)*2^P/(2W^2), each rounded to the nearest integer
         u, v3 = sign * U, sign * V3
-        gamma = CubicElement(
+        gamma = CubicElement._of(
             beta.field,
-            Fraction((am * (G + u) + (one >> 1)) >> P, E),
-            Fraction((m * (2 * G - u + v3) + aW) // (2 * aW), E),
-            Fraction(((am * (2 * G - u - v3) << P) + WW) // (2 * WW), E),
+            (am * (G + u) + (one >> 1)) >> P,
+            (m * (2 * G - u + v3) + aW) // (2 * aW),
+            ((am * (2 * G - u - v3) << P) + WW) // (2 * WW),
+            E,
         )
-        if gamma * gamma == beta:
+        if gamma * gamma == beta:  # on integers, in lowest terms on both sides
             return gamma.positive_embedding()
     return None
 

@@ -1,6 +1,8 @@
+import copy
 import itertools
+import pickle
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -15,7 +17,7 @@ from purecubic.errors import FieldMismatch
 from purecubic.field import CubicElement, CubicField, binomial_minpoly, sqrt_in_field
 from purecubic.mordell import MordellCurve, affine
 
-from helpers import naive_elem_mul, naive_elem_square, naive_norm, reference_sqrt_in_field
+from helpers import naive_elem_mul, naive_elem_square, naive_norm, reference_sqrt_in_field, reference_star
 
 F2 = CubicField(2)
 F26 = CubicField(26)
@@ -154,6 +156,87 @@ class TestExactCoordinates:
         assert a.norm() == Fraction(0.1) ** 3 + 2 * Fraction(0.2) ** 3
 
 
+class TestIntegerStorage:
+    """An element is stored as (R, S, T, D), D > 0 and gcd(R, S, T, D) = 1; Fractions only at the edge."""
+
+    fields = st.sampled_from([2, 7, 26, -2, -7, 113, 33554467**2]).map(CubicField)
+    coords = st.one_of(
+        st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**4)),
+        st.builds(Fraction, st.integers(-(10**60), 10**60), st.integers(1, 10**60)),
+    )
+    triples = st.tuples(coords, coords, coords)
+
+    @staticmethod
+    def stored(x):
+        return x.R, x.S, x.T, x.D
+
+    @given(fields, triples, triples, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_storage_and_kernels_match_fraction_oracles(self, F, a, b, same):
+        b = a if same else b
+        x, y = F.element(*a), F.element(*b)
+        for e, comps in ((x, a), (y, b)):
+            R, S, T, D = self.stored(e)
+            assert D > 0 and gcd(R, S, T, D) == 1 and e._integral() == (R, S, T, D)
+            assert (Fraction(R, D), Fraction(S, D), Fraction(T, D)) == comps
+            assert e.components() == comps == (e.r, e.s, e.t)
+            assert all(type(c) is Fraction for c in e.components())
+        assert (x == y) == (a == b) and (x != y) == (a != b)
+        if a == b:
+            assert hash(x) == hash(y)
+        m = F.m
+        for got, want in ((x + y, [p + q for p, q in zip(a, b)]), (x - y, [p - q for p, q in zip(a, b)]),
+                          (x * y, naive_elem_mul(m, a, b)), (-x, [-p for p in a])):
+            assert got.components() == tuple(want)
+            assert gcd(*self.stored(got)) == 1 and got.D > 0
+        assert x.norm() == naive_norm(m, a) and type(x.norm()) is Fraction
+        # a binomial square (-s^2/(2t), s, t) on its twist: the tangent, and the chord to its double
+        s, t = a[1], a[2]
+        if t:
+            alpha = F.element(-s * s / (2 * t), s, t)
+            double = star(alpha, alpha)
+            assert double == reference_star(alpha, alpha)
+            assert star(alpha, double) == reference_star(alpha, double)
+            assert gcd(*self.stored(double)) == 1 and double.D > 0
+
+    def test_mixed_denominators_round_trip(self):
+        F = CubicField(26)
+        x = F.element(Fraction(-3, 4), Fraction(5, 6), Fraction(7, 10**40 + 1))
+        assert x.D == 12 * (10**40 + 1)
+        assert repr(x) == f"CubicElement(field={F!r}, r={x.r!r}, s={x.s!r}, t={x.t!r})"
+        for y in (eval(repr(x), {"CubicElement": CubicElement, "CubicField": CubicField, "Fraction": Fraction}),
+                  pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert y == x and hash(y) == hash(x) and self.stored(y) == self.stored(x)
+            assert y.components() == x.components()
+
+    def test_integer_and_float_coordinates(self):
+        assert F2.element(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))._integral() == (3, 2, 1, 6)
+        assert F2.element(4, -6, 2)._integral() == (4, -6, 2, 1) and F2.element(0)._integral() == (0, 0, 0, 1)
+        x = CubicElement(F2, 0.1, 0.2, 0)  # the exact binary values, over one power of two
+        assert x.components() == (Fraction(0.1), Fraction(0.2), 0) and x.D == Fraction(0.1).denominator == 2**55
+
+    @pytest.mark.parametrize("m, comps", [
+        (2, (1, -1, -1)), (-26, (Fraction(-1, 2), 3, Fraction(7, 5))), (250, (3, Fraction(-1, 5), 2)),
+        (26, (0, 1, 0)), (-7, (Fraction(1, 3), 5, Fraction(-2, 7)))])
+    def test_a_square_root_builds_one_fraction(self, m, comps):
+        # the candidate, its exact square and the cut run on integers; the one Fraction is the
+        # norm that positive_embedding reads for the sign
+        beta = CubicField(m).element(*comps) ** 2
+        built, new = [], Fraction.__dict__["__new__"]
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new.__func__(cls, *args, **kwargs)
+
+        Fraction.__new__ = counted
+        try:
+            root = sqrt_in_field(beta)
+        finally:
+            Fraction.__new__ = new
+        assert root * root == beta
+        assert len(built) == 1 and abs(Fraction(*built[0])) == abs(root.norm())
+
+
 class TestSqrtInField:
     def test_five_minus_w2_in_q_cbrt2(self):
         got = sqrt_in_field(F2.element(5, 0, -1))
@@ -240,6 +323,14 @@ class TestOneAttempt:
         root = field._sqrt_attempt(K.omega)
         assert root == K.element(0, 0, Fraction(1, 33554467)) and root * root == K.omega
         assert sqrt_in_field(K.omega) is None
+
+    @pytest.mark.parametrize("a, c", [(1, 2**24 - 3), (1, 2**24 + 1), (2**10, 33554467), (3, 2**31 + 1)])
+    def test_the_cut_on_either_side_of_its_bit_bound(self, a, c):
+        # a*w^2/c squares to a^2*w in Q(cbrt(c^2)), whose D is 1: past 24 bits in the root, the cut
+        # reads the heights, and it answers None exactly when the root's height exceeds a^4 * 2^24
+        K = CubicField(c * c)
+        root = K.element(0, 0, Fraction(a, c))
+        assert sqrt_in_field(K.element(0, a * a, 0)) == (None if root.D > a**4 << 24 else root)
 
     primorial = prod(sympy.primerange(2, 700))  # 290 digits
     fields = st.sampled_from([2, 3, 7, 26, -2, -7, 113, -primorial, 33554467**2]).map(CubicField)
