@@ -17,7 +17,8 @@ from purecubic.errors import FieldMismatch
 from purecubic.field import CubicElement, CubicField, binomial_minpoly, sqrt_in_field
 from purecubic.mordell import MordellCurve, affine
 
-from helpers import naive_elem_mul, naive_elem_square, naive_norm, reference_sqrt_in_field, reference_star
+from helpers import (naive_elem_mul, naive_elem_square, naive_norm, reference_alpha, reference_point,
+                     reference_sqrt_in_field, reference_star)
 
 F2 = CubicField(2)
 F26 = CubicField(26)
@@ -190,12 +191,17 @@ class TestIntegerStorage:
             assert got.components() == tuple(want)
             assert gcd(*self.stored(got)) == 1 and got.D > 0
         assert x.norm() == naive_norm(m, a) and type(x.norm()) is Fraction
-        # a binomial square (-s^2/(2t), s, t) on its twist: the tangent, and the chord to its double
+        # a binomial square (-s^2/(2t), s, t) and its point P: the element of P, the tangent (the
+        # element of -2P) and the chord to its double
         s, t = a[1], a[2]
         if t:
             alpha = F.element(-s * s / (2 * t), s, t)
+            b, px, py = reference_point(m, alpha.components())
+            P = affine(px, py)
+            assert elem_from_point(F, b, P).alpha.components() == reference_alpha(b, px, py) == alpha.components()
+            Q = -MordellCurve.twist(m, b).double(P)
             double = star(alpha, alpha)
-            assert double == reference_star(alpha, alpha)
+            assert double.components() == reference_alpha(b, Q.x, Q.y) and double == reference_star(alpha, alpha)
             assert star(alpha, double) == reference_star(alpha, double)
             assert gcd(*self.stored(double)) == 1 and double.D > 0
 
