@@ -27,31 +27,12 @@ element of -(P1 + P2), the sign of star_parts' closed formulas (b = 1),
 and 1 when the chord gives infinity (alpha2 = -alpha1). A rational
 operand is the identity and leaves the other one unchanged.
 
-The chord runs on integers in the elements' own coordinates, with no
-curve, point or intermediate Fraction. Put xi = s/t and eta = 1/t; then
-P = (b*xi, b^2*eta), the twist reads b*eta^2 = xi^3 - m, and the chord's
-slope is b*mu:
-
-    mu   = (eta2 - eta1)/(xi2 - xi1),  or 3*xi1^2/(2*b*eta1) for the tangent,
-    xi3  = b*mu^2 - xi1 - xi2,
-    eta3 = mu*(xi3 - xi1) + eta1,
-
-where (b*xi3, b^2*eta3) = -(P1 + P2), whose element is (-xi3^2/(2*eta3),
-xi3/eta3, 1/eta3): b has dropped out. Every intermediate is a numerator
-and denominator in lowest terms. xi = S/T and eta = D/T are reduced
-first, a sum takes the gcd of its denominators first, and a product
-takes the cross gcds, as Fraction's own arithmetic does (Henrici; Knuth,
-TAOCP vol. 2, 4.5.1). The reason is size: for b = 1 the denominators of
-xi and eta are z^2 and z^3 for one integer z, and the chord's
-differences cancel most of what the operands share. A fraction left
-unreduced carries those factors into each later product, so the numbers,
-and the cost of the gcds that finally remove them, grow with every step.
-The output is built in lowest terms with one gcd and no Fraction. With
-xi3 = p/q and eta3 = u/v reduced, the element is (-p^2*v, 2pq*v,
-2q^2*v)/(2q^2*u), and its four integers share exactly G = gcd(c*v,
-2q^2), c = gcd(p^2, 2): p shares nothing with q, nor u with v, so the
-first three share c*v, and u adds nothing. Dividing the factors c*v and
-2q^2 by G, not the four products, keeps each division small.
+The chord is mordell's _third_point, run on integers in the elements'
+own coordinates xi = s/t and eta = 1/t, reduced first, with no curve,
+point or intermediate Fraction: P = (b*xi, b^2*eta), the twist reads
+b*eta^2 = xi^3 - m (the kernel's a = b), and its third point (xi3, eta3)
+is -(P1 + P2) scaled alike, whose element (-xi3^2/(2*eta3), xi3/eta3,
+1/eta3) _element builds in lowest terms: b has dropped out.
 """
 
 from __future__ import annotations
@@ -63,7 +44,7 @@ from typing import NamedTuple
 from .arith import Value, _set, perfect_square_root
 from .errors import FieldMismatch, InvalidPoint, NotBinomial, ZeroElement
 from .field import CubicElement, CubicField
-from .mordell import INFINITY, CurvePoint, MordellCurve
+from .mordell import INFINITY, CurvePoint, MordellCurve, _lowest, _mul, _third_point
 
 
 class BinomialSquareWitness(Value):
@@ -117,7 +98,7 @@ def _binomial(field: CubicField, alpha: CubicElement) -> tuple[int, int, int, in
     """
     if alpha.field != field:
         raise FieldMismatch(f"{alpha.field} != {field}")
-    r, s, t, d = alpha._integral()  # on the common denominator d
+    r, s, t, d = alpha.R, alpha.S, alpha.T, alpha.D  # on the common denominator d
     if not (r or s or t):
         raise ZeroElement("0 is not in the multiplicative group")
     if 2 * r * t + s * s != 0:
@@ -190,38 +171,12 @@ def star_parts(alpha1: CubicElement, alpha2: CubicElement) -> StarParts:
     return StarParts(s_minus, s_plus, t_minus, t_plus, sigma, r3, s3, t3)
 
 
-def _lowest(n: int, d: int) -> tuple[int, int]:
-    """n/d, d != 0, in lowest terms with d > 0."""
-    g = gcd(n, d)
-    if d < 0:
-        g = -g
-    return n // g, d // g
-
-
-def _add(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
-    """an/ad + bn/bd in lowest terms from two in lowest terms (ad, bd > 0): the gcd of the
-    denominators first, as Fraction adds (Henrici; Knuth, TAOCP vol. 2, 4.5.1)."""
-    g = gcd(ad, bd)
-    if g == 1:
-        return an * bd + bn * ad, ad * bd
-    ad //= g
-    n = an * (bd // g) + bn * ad
-    h = gcd(n, g)
-    return n // h, ad * (bd // h)
-
-
-def _mul(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
-    """(an/ad)*(bn/bd) in lowest terms, with a positive denominator, from two in lowest terms
-    by the cross gcds; bd may be negative, so a quotient is a product by (den, num)."""
-    g, h = gcd(an, bd), gcd(bn, ad)
-    n, d = (an // g) * (bn // h), (ad // h) * (bd // g)
-    return (-n, -d) if d < 0 else (n, d)
-
-
 def _element(field: CubicField, p: int, q: int, u: int, v: int) -> CubicElement:
-    """(-xi^2/(2*eta), xi/eta, 1/eta) for xi = p/q, eta = u/v != 0 in lowest terms, q, v > 0: the four
-    integers of (-p^2*v, 2pq*v, 2q^2*v)/(2q^2*u) share exactly G = gcd(c*v, 2q^2), c = gcd(p^2, 2)
-    (module docstring), so the factors c*v and 2q^2 are divided by G, G taking u's sign."""
+    """(-xi^2/(2*eta), xi/eta, 1/eta) for xi = p/q, eta = u/v != 0 in lowest terms, q, v > 0, with one
+    gcd and no Fraction. The four integers of (-p^2*v, 2pq*v, 2q^2*v)/(2q^2*u) share exactly
+    G = gcd(c*v, 2q^2), c = gcd(p^2, 2): p shares nothing with q, nor u with v, so the first three share
+    c*v, and u adds nothing. So the factors c*v and 2q^2, not the four products, are divided by G, G
+    taking u's sign, which keeps each division small."""
     c, q2 = 2 - (p & 1), 2 * q * q
     G = gcd(c * v, q2) if u > 0 else -gcd(c * v, q2)
     k, Q = c * v // G, q2 // G
@@ -234,14 +189,9 @@ def star(alpha1: CubicElement, alpha2: CubicElement) -> CubicElement:
     Both operands must satisfy 2rt + s^2 = 0 and carry the same twist
     scale b. Each is checked once, by _binomial, which puts its point on
     y^2 = x^3 - m*b^3; one chord (the tangent for equal operands) then
-    gives -(P1 + P2) and its element. A rational operand is the identity
-    and returns the other unchanged; alpha and -alpha give 1.
-
-    The chord runs on integer pairs in lowest terms, in the operands' own
-    coordinates xi = s/t and eta = 1/t (the module docstring says why each
-    step reduces): mu = (eta2 - eta1)/(xi2 - xi1), or 3*xi1^2/(2*b*eta1)
-    for the tangent; xi3 = b*mu^2 - xi1 - xi2 and eta3 = mu*(xi3 - xi1) +
-    eta1; the product is (-xi3^2/(2*eta3), xi3/eta3, 1/eta3).
+    gives -(P1 + P2) and its element, as the module docstring says. A
+    rational operand is the identity and returns the other unchanged;
+    alpha and -alpha give 1.
     """
     field = alpha1.field
     s1, t1, d1, B1 = _binomial(field, alpha1)
@@ -253,21 +203,17 @@ def star(alpha1: CubicElement, alpha2: CubicElement) -> CubicElement:
     D1, D2 = d1 * d1, d2 * d2
     if B1 * D2 != B2 * D1:
         raise NotBinomial(f"twist scales differ: {Fraction(B1, D1)} vs {Fraction(B2, D2)}")
-    bn, bd = _lowest(B1, D1)
-    a1, c1 = _lowest(s1, t1)  # xi1 = s1/t1
-    e1, f1 = _lowest(d1, t1)  # eta1 = d1/t1
+    xi1 = _lowest(s1, t1)
+    eta1 = _lowest(d1, t1)
     if s1 == s2 and t1 == t2 and d1 == d2:  # alpha2 = alpha1: the tangent
-        mn, md = _mul(*_mul(3, 2, *_mul(a1 * a1, c1 * c1, f1, e1)), bd, bn)  # 3*xi1^2/(2*b*eta1)
-        a2, c2 = a1, c1
+        xi2, eta2 = xi1, eta1
     else:
-        a2, c2 = _lowest(s2, t2)
-        if a1 == a2 and c1 == c2:  # one x, another element: P2 = -P1, and the chord meets infinity
+        xi2 = _lowest(s2, t2)
+        if xi2 == xi1:  # one x, another element: P2 = -P1, and the chord meets infinity
             return field.one
-        xn, xd = _add(a2, c2, -a1, c1)
-        mn, md = _mul(*_add(*_lowest(d2, t2), -e1, f1), xd, xn)  # (eta2 - eta1)/(xi2 - xi1)
-    p, q = _add(*_mul(bn, bd, mn * mn, md * md), *_add(-a1, c1, -a2, c2))  # xi3 = b*mu^2 - xi1 - xi2
-    u, v = _add(*_mul(mn, md, *_add(p, q, -a1, c1)), e1, f1)  # eta3 = mu*(xi3 - xi1) + eta1
-    return _element(field, p, q, u, v)
+        eta2 = _lowest(d2, t2)
+    b = _lowest(B1, D1)
+    return _element(field, *_third_point(b, xi1, eta1, xi2, eta2))
 
 
 def is_square_binomial(field: CubicField, a, b) -> CubicElement | None:

@@ -104,10 +104,6 @@ class CubicElement(Value):
     def components(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.r, self.s, self.t)
 
-    def _integral(self) -> tuple[int, int, int, int]:
-        """(R, S, T, D): the coordinates as R/D, S/D, T/D, D the lcm of their denominators, as stored."""
-        return self.R, self.S, self.T, self.D
-
     def is_rational(self) -> bool:
         return not (self.S or self.T)
 
@@ -182,11 +178,12 @@ class CubicElement(Value):
         """Sign of the real embedding of a nonzero element.
 
         The two complex embeddings are conjugate, so the norm is the real
-        embedding times a positive |complex embedding|^2 and has its sign.
+        embedding times a positive |complex embedding|^2 and has its sign,
+        which is that of its integer numerator, as D > 0.
         """
         if self.is_zero():
             raise ValueError("zero element has no sign")
-        return 1 if self.norm() > 0 else -1
+        return 1 if _norm_numerator(self.field.m, self.R, self.S, self.T) > 0 else -1
 
     def positive_embedding(self) -> "CubicElement":
         """Whichever of self, -self has positive real embedding."""
@@ -290,7 +287,7 @@ def _sqrt_attempt(beta: CubicElement) -> CubicElement | None:
     beta has a square norm, and the error bound is in sqrt_in_field."""
     m = beta.field.m
     am = abs(m)
-    R, S, T, D = beta._integral()
+    R, S, T, D = beta.R, beta.S, beta.T, beta.D
     v = 1 << -(-am.bit_length() // 3)  # > |w|, as |m| < 2^bits(|m|)
     b = max(abs(R) + abs(S) * v + abs(T) * v * v, D)  # D * B
     n = _norm_numerator(m, R, S, T)  # nonzero: N(beta) = n/D^3

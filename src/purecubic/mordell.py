@@ -1,8 +1,9 @@
 """Exact group law on Mordell curves y^2 = x^3 + k over the rationals.
 
 The chord-tangent law is implemented in the standard orientation: the
-sum of two points is the reflection of the third collinear point, so
-for P = (x, y) with y != 0
+sum of two points is the reflection of the third collinear point, which
+one kernel, _third_point, finds on integer pairs for add, double,
+scalar_mul and binsq.star. For P = (x, y) with y != 0
 
     2P = ( (x^4 - 8kx) / (4y^2),  (x^6 + 20kx^3 - 8k^2) / (8y^3) ).
 
@@ -75,6 +76,67 @@ def affine(x, y) -> CurvePoint:
     return CurvePoint(Fraction(x), Fraction(y))
 
 
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    """n/d, d != 0, in lowest terms with d > 0."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return n // g, d // g
+
+
+def _add(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """an/ad + bn/bd in lowest terms from two in lowest terms (ad, bd > 0): the gcd of the
+    denominators first, as Fraction adds (Henrici; Knuth, TAOCP vol. 2, 4.5.1)."""
+    g = gcd(ad, bd)
+    if g == 1:
+        return an * bd + bn * ad, ad * bd
+    ad //= g
+    n = an * (bd // g) + bn * ad
+    h = gcd(n, g)
+    return n // h, ad * (bd // h)
+
+
+def _mul(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """(an/ad)*(bn/bd) in lowest terms, with a positive denominator, from two in lowest terms
+    by the cross gcds; bd may be negative, so a quotient is a product by (den, num)."""
+    g, h = gcd(an, bd), gcd(bn, ad)
+    n, d = (an // g) * (bn // h), (ad // h) * (bd // g)
+    return (-n, -d) if d < 0 else (n, d)
+
+
+def _third_point(a, x1, y1, x2, y2) -> tuple[int, int, int, int]:
+    """The third point (p/q, u/v) where a*y^2 = x^3 + c meets the chord through (x1, y1) and
+    (x2, y2), or the tangent at (x1, y1) when x1 = x2, which then needs y1 = y2 != 0.
+
+    Each argument and result is a pair (num, den) in lowest terms, den > 0; a may be negative,
+    and c does not enter. The line y = y1 + mu*(x - x1) meets the curve where x^3 - a*mu^2*x^2
+    + ... = 0, so the three x sum to a*mu^2:
+
+        mu = (y2 - y1)/(x2 - x1),  or 3*x1^2/(2*a*y1) for the tangent,
+        x3 = a*mu^2 - x1 - x2,
+        y3 = mu*(x3 - x1) + y1.
+
+    MordellCurve adds with a = 1, P1 + P2 = (x3, -y3) (Silverman, AEC III.2), and binsq.star
+    with a = b on b*eta^2 = xi^3 - m. Every step reduces, by _add and _mul, as Fraction does:
+    on y^2 = x^3 + k, k an integer, the denominators of x and y are z^2 and z^3 for one integer
+    z, and the chord's differences cancel most of what the operands share. A fraction left
+    unreduced carries those factors into each later product, so the numbers, and the cost of
+    the gcds that finally remove them, grow with every step.
+    """
+    an, ad = a
+    n1, d1 = x1
+    e1, f1 = y1
+    n2, d2 = x2
+    if x1 == x2:
+        mn, md = _mul(*_mul(3, 2, *_mul(n1 * n1, d1 * d1, f1, e1)), ad, an)  # 3*x1^2/(2*a*y1)
+    else:
+        xn, xd = _add(n2, d2, -n1, d1)
+        mn, md = _mul(*_add(*y2, -e1, f1), xd, xn)  # (y2 - y1)/(x2 - x1)
+    p, q = _add(*_mul(an, ad, mn * mn, md * md), *_add(-n1, d1, -n2, d2))  # x3 = a*mu^2 - x1 - x2
+    u, v = _add(*_mul(mn, md, *_add(p, q, -n1, d1)), e1, f1)  # y3 = mu*(x3 - x1) + y1
+    return p, q, u, v
+
+
 class MordellCurve(Value):
     """The curve y^2 = x^3 + k, k != 0."""
 
@@ -136,16 +198,11 @@ class MordellCurve(Value):
             return Q
         if Q.is_infinity:
             return P
-        x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
-        if x1 == x2:
-            if y1 == -y2:
-                return INFINITY
-            lam = 3 * x1 * x1 / (2 * y1)
-        else:
-            lam = (y2 - y1) / (x2 - x1)
-        x3 = lam * lam - x1 - x2
-        y3 = lam * (x1 - x3) - y1
-        return CurvePoint(x3, y3)
+        if P.x == Q.x and (P.y != Q.y or not P.y):  # Q = +-P on the curve, and Q = -P unless y1 = y2 != 0
+            return INFINITY
+        p, q, u, v = _third_point((1, 1), P.x.as_integer_ratio(), P.y.as_integer_ratio(),
+                                  Q.x.as_integer_ratio(), Q.y.as_integer_ratio())
+        return CurvePoint(Fraction(p, q), Fraction(-u, v))
 
     def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
         self._require(P, Q)

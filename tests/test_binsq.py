@@ -23,7 +23,7 @@ from purecubic.errors import DomainError, FieldMismatch, InvalidPoint, NotBinomi
 from purecubic.field import CubicElement, CubicField, sqrt_in_field
 from purecubic.mordell import INFINITY, CurvePoint, MordellCurve, affine
 
-from helpers import reference_alpha, reference_point, reference_star
+from helpers import reference_add, reference_alpha, reference_point, reference_star
 
 F2 = CubicField(2)
 F4 = CubicField(4)
@@ -552,6 +552,43 @@ class TestStarAgainstTheWitnessRoute:
                     assert point_from_elem(K, w.alpha) == w
                     # the public constructor re-checks alpha^2 = a - b*w and P on the curve
                     assert binsq.BinomialSquareWitness(K, b, w.alpha, w.a, P, C) == w
+
+
+# c for the curves y^2 = x^3 + c^3, each with the point (-c, 0) of order 2
+TORSION_CS = (Fraction(1), Fraction(-2), Fraction(2, 3), Fraction(-1, 2), Fraction(-7, 4), Fraction(3, 2))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_group_law_and_star_match_the_fraction_chord(data):
+    """add, double and scalar_mul against helpers.reference_add on the twists y^2 = x^3 - m*b^3
+    and on curves with a point of order 2, and star against the element of -(P + Q), for Q
+    another point, P itself, -P or infinity: the chord, the tangent and the vertical line."""
+    if data.draw(st.booleans()):
+        m = data.draw(st.sampled_from(PROPERTY_FIELDS))
+        b = data.draw(st.sampled_from([b for b in PROPERTY_TWISTS if twist_points(m, b)]))
+        C, points = MordellCurve.twist(m, b), twist_points(m, b)
+    else:
+        m, c = None, data.draw(st.sampled_from(TORSION_CS))
+        C = MordellCurve(c**3)
+        points = (CurvePoint(-c, 0), *C.search(3, 40))
+    P = data.draw(st.sampled_from(points))
+    kind = data.draw(st.sampled_from(("other",) * 3 + ("P", "-P", "infinity")))
+    Q = {"other": data.draw(st.sampled_from(points)), "P": P, "-P": -P, "infinity": INFINITY}[kind]
+    total = reference_add(C.k, P, Q)
+    assert C.add(P, Q) == total and C.add(Q, P) == total
+    assert C.double(P) == reference_add(C.k, P, P)
+    n = data.draw(st.integers(-7, 7))
+    multiple = INFINITY
+    for _ in range(abs(n)):
+        multiple = reference_add(C.k, multiple, P if n > 0 else -P)
+    assert C.scalar_mul(n, P) == multiple
+    event(f"Q = {kind}" + (", P of order 2" if not P.y else ""))
+    if m is not None and not Q.is_infinity:
+        K = CubicField(m)
+        a1, a2 = (K.element(*reference_alpha(b, R.x, R.y)) for R in (P, Q))
+        want = K.one if total.is_infinity else K.element(*reference_alpha(b, total.x, -total.y))
+        assert star(a1, a2) == want
 
 
 class TestSignRule:

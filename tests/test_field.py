@@ -178,7 +178,7 @@ class TestIntegerStorage:
         x, y = F.element(*a), F.element(*b)
         for e, comps in ((x, a), (y, b)):
             R, S, T, D = self.stored(e)
-            assert D > 0 and gcd(R, S, T, D) == 1 and e._integral() == (R, S, T, D)
+            assert D > 0 and gcd(R, S, T, D) == 1
             assert (Fraction(R, D), Fraction(S, D), Fraction(T, D)) == comps
             assert e.components() == comps == (e.r, e.s, e.t)
             assert all(type(c) is Fraction for c in e.components())
@@ -216,8 +216,8 @@ class TestIntegerStorage:
             assert y.components() == x.components()
 
     def test_integer_and_float_coordinates(self):
-        assert F2.element(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))._integral() == (3, 2, 1, 6)
-        assert F2.element(4, -6, 2)._integral() == (4, -6, 2, 1) and F2.element(0)._integral() == (0, 0, 0, 1)
+        assert self.stored(F2.element(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))) == (3, 2, 1, 6)
+        assert self.stored(F2.element(4, -6, 2)) == (4, -6, 2, 1) and self.stored(F2.element(0)) == (0, 0, 0, 1)
         x = CubicElement(F2, 0.1, 0.2, 0)  # the exact binary values, over one power of two
         assert x.components() == (Fraction(0.1), Fraction(0.2), 0) and x.D == Fraction(0.1).denominator == 2**55
 
@@ -225,8 +225,8 @@ class TestIntegerStorage:
         (2, (1, -1, -1)), (-26, (Fraction(-1, 2), 3, Fraction(7, 5))), (250, (3, Fraction(-1, 5), 2)),
         (26, (0, 1, 0)), (-7, (Fraction(1, 3), 5, Fraction(-2, 7)))])
     def test_a_square_root_builds_one_fraction(self, m, comps):
-        # the candidate, its exact square and the cut run on integers; the one Fraction is the
-        # norm that positive_embedding reads for the sign
+        # the candidate, its exact square, the cut and positive_embedding's sign, read from the
+        # integer norm, run on integers: no Fraction is built
         beta = CubicField(m).element(*comps) ** 2
         built, new = [], Fraction.__dict__["__new__"]
 
@@ -240,7 +240,7 @@ class TestIntegerStorage:
         finally:
             Fraction.__new__ = new
         assert root * root == beta
-        assert len(built) == 1 and abs(Fraction(*built[0])) == abs(root.norm())
+        assert built == []
 
 
 class TestSqrtInField:
@@ -446,10 +446,10 @@ class TestIntegerNormAndSignOrder:
 
     def test_no_norm_before_the_attempt(self, monkeypatch):
         F26 = CubicField(26)
-        # (beta, norm calls in all, norm calls when the attempt starts, None if it never does)
-        cases = [(CubicField(m).element(*comps) ** 2, 1, 0) for m, comps in self.squares]
-        cases += [(3 * F26.element(1, 2, -1) ** 2, 0, None),  # a non-square norm: no attempt
-                  (F26.element(1, 2, -1) ** 2 * F26.element(3, -1), 0, 0)]  # norm 1, no root
+        # (beta, whether it has a root, norm calls when the attempt starts, None if it never does)
+        cases = [(CubicField(m).element(*comps) ** 2, True, 0) for m, comps in self.squares]
+        cases += [(3 * F26.element(1, 2, -1) ** 2, False, None),  # a non-square norm: no attempt
+                  (F26.element(1, 2, -1) ** 2 * F26.element(3, -1), False, 0)]  # norm 1, no root
         counts = {"norm": 0, "at_attempt": None}
         norm, attempt = CubicElement.norm, field._sqrt_attempt
 
@@ -463,11 +463,11 @@ class TestIntegerNormAndSignOrder:
 
         monkeypatch.setattr(CubicElement, "norm", counted_norm)
         monkeypatch.setattr(field, "_sqrt_attempt", recorded_attempt)
-        for beta, norms, at_attempt in cases:
+        for beta, found, at_attempt in cases:
             counts.update(norm=0, at_attempt=None)
-            # the one norm a square root takes is positive_embedding's
-            assert (sqrt_in_field(beta) is None) == (norms == 0)
-            assert counts == {"norm": norms, "at_attempt": at_attempt}
+            # positive_embedding reads the sign from the integer norm, so no norm is taken at all
+            assert (sqrt_in_field(beta) is not None) == found
+            assert counts == {"norm": 0, "at_attempt": at_attempt}
 
     # elements whose norm is 1 and which are not squares: gamma^2 times one of them is not a square
     square_norms = {26: (3, -1), 2: (-1, 1), 7: (2, -1)}
