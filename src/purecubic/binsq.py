@@ -6,12 +6,13 @@ binomial a - b*w exactly when 2rt + s^2 = 0. Nontrivial solutions
 
     alpha        ->  (x, y) = (b*s/t, b^2/t),  b = -(2rs + m t^2)
     (x, y)       ->  alpha = -x^2/2y + (b*x/y)*w + (b^2/y)*w^2,
-                     alpha^2 = (x^4 + 8Mx)/(4y^2) - b*w,  M = m*b^3
+                     alpha^2 = a - b*w,  a = r^2 + 2m*s*t = x(2P)
 
-Both maps work on the integers of b, x, y and of the stored element
-(R + S*w + T*w^2)/D, with no Fraction arithmetic on the way: a point's
-coordinates are one Fraction(num, den) each, and an element is built in
-lowest terms from xi = x/b and eta = y/b^2, as star builds its product.
+So alpha alone is the witness: BinomialSquareWitness stores the field
+and alpha and reads b, a, the point and its twist from alpha's integers
+(R + S*w + T*w^2)/D. Both maps work on integers: a point's coordinates
+are one Fraction(num, den) each, and an element is built in lowest
+terms from xi = x/b and eta = y/b^2, as star builds its product.
 
 Negating alpha negates the point's y, so a - b*w pins alpha down only
 up to sign. is_square_binomial, the one decision entry, tests the norm
@@ -41,39 +42,32 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .arith import Value, _set, perfect_square_root
+from .arith import Value, _set
 from .errors import FieldMismatch, InvalidPoint, NotBinomial, ZeroElement
-from .field import CubicElement, CubicField
+from .field import CubicElement, CubicField, sqrt_in_field
 from .mordell import INFINITY, CurvePoint, MordellCurve, _lowest, _mul, _third_point
 
 
 class BinomialSquareWitness(Value):
-    """An element alpha with alpha^2 = a - b*w, tied to its curve point.
+    """An element alpha with alpha^2 = a - b*w, and the curve point it fixes.
 
-    For the trivial case (alpha rational, b = 0) the point is infinity
-    and there is no twist curve. Both facts are checked on construction;
-    elem_from_point and point_from_elem, which have already proved them,
-    build theirs through _proved.
+    b, a, the point (b*s/t, b^2/t) and its twist y^2 = x^3 - m*b^3 are
+    read from alpha, whose one check, 2rt + s^2 = 0, puts the point on the
+    twist. Rational alpha (b = 0) gives infinity and no twist curve.
     """
 
-    __slots__ = ("field", "b", "alpha", "a", "point", "curve")
+    __slots__ = ("field", "alpha")
 
-    def __init__(self, field: CubicField, b: Fraction, alpha: CubicElement, a: Fraction,
-                 point: CurvePoint, curve: MordellCurve | None):
-        if alpha * alpha != field.element(a, -b, 0):
-            raise NotBinomial(f"{alpha} does not square to {a} - {b}*w")
-        if curve is not None and not curve.contains(point):
-            raise InvalidPoint(f"{point} is not on {curve}")
-        for name, value in zip(self.__slots__, (field, b, alpha, a, point, curve)):
-            _set(self, name, value)
+    def __init__(self, field: CubicField, alpha: CubicElement):
+        _binomial(field, alpha)
+        _set(self, "field", field)
+        _set(self, "alpha", alpha)
 
-    @classmethod
-    def _proved(cls, *values) -> "BinomialSquareWitness":
-        """The witness of ``__init__``'s arguments, whose two facts the caller has proved."""
-        self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, values):
-            _set(self, name, value)
-        return self
+    b = property(lambda self: Fraction(_binomial(self.field, self.alpha)[3], self.alpha.D ** 2))
+    a = property(lambda self: Fraction(self.alpha.R ** 2 + 2 * self.field.m * self.alpha.S * self.alpha.T,
+                                       self.alpha.D ** 2))
+    point = property(lambda self: _point(self.b, self.alpha) if self.alpha.T else INFINITY)
+    curve = property(lambda self: MordellCurve.twist(self.field.m, self.b) if self.alpha.T else None)
 
 
 def _point(b: Fraction, alpha: CubicElement) -> CurvePoint:
@@ -114,10 +108,7 @@ def elem_from_point(field: CubicField, b, P: CurvePoint) -> BinomialSquareWitnes
         raise InvalidPoint("the point at infinity maps to the trivial element")
     curve._require(P)  # the one check: P on the curve makes alpha^2 = a - b*w an identity
     # y != 0: a point (x, 0) would make m*b^3 = x^3 a rational cube, and CubicField rejects cube m
-    x, y = P.x, P.y
-    M = field.m * b**3
-    a = (x**4 + 8 * M * x) / (4 * y * y)
-    return BinomialSquareWitness._proved(field, b, _alpha(field, b, P), a, P, curve)
+    return BinomialSquareWitness(field, _alpha(field, b, P))
 
 
 def point_from_elem(field: CubicField, alpha: CubicElement) -> BinomialSquareWitness:
@@ -127,13 +118,7 @@ def point_from_elem(field: CubicField, alpha: CubicElement) -> BinomialSquareWit
     unless 2rt + s^2 = 0. Rational alpha is the trivial case and maps to
     the point at infinity with b = 0.
     """
-    _, _, d, B = _binomial(field, alpha)  # the one check, which proves both facts of the witness
-    b = Fraction(B, d * d)
-    r, s, t = alpha.components()
-    if t == 0:  # then s = 0 as well, and alpha^2 = r^2
-        return BinomialSquareWitness._proved(field, b, alpha, r * r, INFINITY, None)
-    curve = MordellCurve.twist(field.m, b)
-    return BinomialSquareWitness._proved(field, b, alpha, r * r + 2 * field.m * s * t, _point(b, alpha), curve)
+    return BinomialSquareWitness(field, alpha)
 
 
 class StarParts(NamedTuple):
@@ -234,8 +219,7 @@ def is_square_binomial(field: CubicField, a, b) -> CubicElement | None:
     if a == 0 and b == 0:
         raise ZeroElement("0 has no useful square root here")
     if b == 0:
-        root = perfect_square_root(a)
-        return field.element(root) if root is not None else None
+        return sqrt_in_field(field.element(a))
     e = a.denominator * b.denominator
     # the norm a^3 - m*b^3 is n/e^3, the square of a rational exactly when n*e is an integer square
     ne = ((a.numerator * b.denominator) ** 3 - field.m * (b.numerator * a.denominator) ** 3) * e

@@ -163,6 +163,8 @@ def _to_point(opts, field, alpha):
 
     w = point_from_elem(field, alpha)
     rec = {"m": str(field.m), "b": str(w.b), "a": str(w.a), "point": _point_rec(w.point)}
+    if w.curve is None:
+        return rec, f"inf: alpha = {alpha.r} is rational, so b = 0 and there is no twist   [alpha^2 = {w.a}]"
     return rec, f"{w.point} on y^2 = x^3 - ({field.m})*({w.b})^3   [alpha^2 = {w.a} - ({w.b})*w]"
 
 
@@ -187,7 +189,7 @@ def _square_test(opts, field, a, b):
            "root": _elem_rec(root) if root is not None else None}
     if root is None:
         return rec, f"{a} - ({b})*w is not a square in {field}"
-    return rec, f"{a} - ({b})*w = ({root})^2"
+    return rec, f"{a} - ({b})*w = gamma^2, gamma = {root}"
 
 
 def _norm(opts, field, alpha):

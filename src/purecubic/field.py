@@ -26,7 +26,7 @@ import operator
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .arith import IntPoly, Value, _set, icbrt, perfect_cube_root, perfect_square_root
+from .arith import IntPoly, Value, _set, icbrt, perfect_cube_root
 from .errors import FieldMismatch
 
 
@@ -216,8 +216,9 @@ def sqrt_in_field(beta: CubicElement, digits: int = 256) -> CubicElement | None:
     one numeric attempt takes square roots of the three embeddings of
     beta (two essentially different sign choices), solves back to
     (r, s, t) coordinates, rounds each to a multiple of 1/E, E = 3|m|*D,
-    and verifies gamma^2 = beta exactly. Returns the root with positive
-    real embedding. ``digits`` is accepted and ignored.
+    and verifies gamma^2 = beta exactly; a rational R/D, n*D = R^2 * R*D,
+    takes the same test and attempt. Returns the root with positive real
+    embedding. ``digits`` is accepted and ignored.
 
     The denominator E is proved, not guessed: D*gamma is an algebraic
     integer, since (D*gamma)^2 = D*(R + S*w + T*w^2), and the index of
@@ -258,9 +259,6 @@ def sqrt_in_field(beta: CubicElement, digits: int = 256) -> CubicElement | None:
     """
     if beta.is_zero():
         return beta
-    if beta.is_rational():
-        root = perfect_square_root(beta.r)
-        return beta.field.element(root) if root is not None else None
     nD = _norm_numerator(beta.field.m, beta.R, beta.S, beta.T) * beta.D
     if nD <= 0 or isqrt(nD) ** 2 != nD:
         return None

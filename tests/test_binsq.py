@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -550,8 +552,32 @@ class TestStarAgainstTheWitnessRoute:
                     assert w.alpha.components() == reference_alpha(b, P.x, P.y)
                     assert reference_point(m, w.alpha.components()) == (b, P.x, P.y)
                     assert point_from_elem(K, w.alpha) == w
-                    # the public constructor re-checks alpha^2 = a - b*w and P on the curve
-                    assert binsq.BinomialSquareWitness(K, b, w.alpha, w.a, P, C) == w
+                    # the public constructor takes alpha alone and reads b, the point and the twist from it
+                    assert binsq.BinomialSquareWitness(K, w.alpha) == w and (w.b, w.point, w.curve) == (b, P, C)
+
+
+def test_the_witness_is_its_element():
+    """The constructor and both maps give one witness, equal and hashed alike through pickle and
+    copy, whose b, a, point and twist are read from alpha alone; errors come from alpha's one check."""
+    cases = [(m, b, P) for m in PROPERTY_FIELDS for b in PROPERTY_TWISTS for P in twist_points(m, b)[:4]]
+    assert {b for _, b, _ in cases} == set(PROPERTY_TWISTS)  # b = p/q of either sign
+    for m, b, P in cases:
+        K = CubicField(m)
+        w = elem_from_point(K, b, P)
+        assert (w.b, w.point, w.curve) == (b, P, MordellCurve.twist(m, b))
+        assert w.alpha * w.alpha == K.element(w.a, -w.b) and w.curve.contains(w.point)
+        for v in (point_from_elem(K, w.alpha), binsq.BinomialSquareWitness(K, w.alpha),
+                  pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+            assert v == w and hash(v) == hash(w)
+    for r in (1, -3, Fraction(2, 7), Fraction(-5, 9)):
+        w = point_from_elem(F2, F2.element(r))
+        assert (w.b, w.a, w.point, w.curve) == (0, Fraction(r) ** 2, INFINITY, None)
+        assert pickle.loads(pickle.dumps(w)) == copy.copy(w) == binsq.BinomialSquareWitness(F2, F2.element(r)) == w
+    for alpha, error in ((F2.element(0), ZeroElement), (F2.element(1, 1, 1), NotBinomial),
+                         (F20.element(1, 1, Fraction(-1, 2)), FieldMismatch)):
+        for make in (point_from_elem, binsq.BinomialSquareWitness):
+            with pytest.raises(error):
+                make(F2, alpha)
 
 
 # c for the curves y^2 = x^3 + c^3, each with the point (-c, 0) of order 2

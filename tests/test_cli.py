@@ -123,6 +123,14 @@ class TestElementOps:
         assert records[0]["point"] == {"x": "3", "y": "5"}
         assert records[0]["b"] == "1"
 
+    def test_to_point_of_a_rational_element(self, capsys):
+        # alpha = 5 squares to 25 - 0*w: the point at infinity, with no twist y^2 = x^3 - 2*0^3
+        code, out, _ = run(capsys, "to-point", "2", "5", "0", "0")
+        assert code == 0
+        assert out == "inf: alpha = 5 is rational, so b = 0 and there is no twist   [alpha^2 = 25]\n"
+        code, records, _ = run_json(capsys, "to-point", "2", "5", "0", "0")
+        assert records == [{"op": "to-point", "m": "2", "b": "0", "a": "25", "point": "inf"}]
+
     def test_to_point_not_binomial_is_domain_error(self, capsys):
         code, _, err = run(capsys, "to-point", "2", "1", "1", "1")
         assert code == 1
@@ -146,7 +154,7 @@ class TestElementOps:
     def test_square_test_positive(self, capsys):
         code, out, _ = run(capsys, "square-test", "4", "5", "1")
         assert code == 0
-        assert "-1 + 1*w + 1/2*w^2" in out
+        assert out == "5 - (1)*w = gamma^2, gamma = -1 + 1*w + 1/2*w^2 (w = cbrt(4))\n"
 
     def test_square_test_negative(self, capsys):
         code, records, _ = run_json(capsys, "square-test", "26", "35", "1")

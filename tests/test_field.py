@@ -253,6 +253,19 @@ class TestSqrtInField:
         assert sqrt_in_field(F2.element(4)) == F2.element(2)
         assert sqrt_in_field(F2.element(2)) is None
 
+    @given(st.sampled_from((2, 3, 7, 26, 113, 4, 25, 33554467**2, -2, -7, -26, -113)),
+           st.builds(Fraction, st.integers(-10**12, 10**12).filter(bool), st.integers(1, 10**6)), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_a_rational_takes_the_same_route(self, m, q, square):
+        # no shortcut for rationals: the integer norm test and the one attempt answer
+        # q = p/d, or its square, as perfect_square_root does, over m of both signs
+        K = CubicField(m)
+        q = q * q if square else q
+        root = perfect_square_root(q)
+        want = None if root is None else K.element(root)
+        assert sqrt_in_field(K.element(q)) == want
+        assert is_square_binomial(K, q, 0) == want
+
     def test_fundamental_unit_not_square(self):
         # norm is 1, but 3 - w is not a square in Q(cbrt(26))
         beta = F26.element(3, -1, 0)
