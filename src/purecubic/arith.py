@@ -2,15 +2,17 @@
 
 Everything downstream leans on three primitives implemented here:
 exact factorization with an explicit effort budget (the primes below
-10^4 found by one gcd per block of them, then a Pollard rho that takes
-one gcd per block of steps), perfect-square detection for rationals,
-and rational roots of integer polynomials (each numerator dividing the
-constant term is matched to its one possible denominator by the
-polynomial's roots modulo a small prime, lifted by Newton steps). Only
-tests call ``rational_reconstruct``, which finds the one rational of
-height at most H within 1/(2H^2) of an exact rational, or proves there
-is none: the field's square root rounds to a denominator it proves, and
-walks no continued fraction. Nothing here reads a float.
+10^4 found by one gcd per block of them, then Pollard rho on Brent's
+cycle, which multiplies differences only in the second half of each
+cycle and takes one gcd per block of those products; the budget counts
+every step, with a product or without), perfect-square detection for
+rationals, and rational roots of integer polynomials (each numerator
+dividing the constant term is matched to its one possible denominator
+by the polynomial's roots modulo a small prime, lifted by Newton
+steps). Only tests call ``rational_reconstruct``, which finds the one
+rational of height at most H within 1/(2H^2) of an exact rational, or
+proves there is none: the field's square root rounds to a denominator
+it proves, and walks no continued fraction. Nothing here reads a float.
 
 Rationals are plain ``fractions.Fraction`` values (always reduced,
 positive denominator).
@@ -174,48 +176,49 @@ def _decimal_digits(n: int) -> int:
 def _rho_split(n: int, budget: int) -> tuple[int | None, int]:
     """Find a nontrivial factor of odd composite n.
 
-    Brent-cycle Pollard rho with deterministic parameters; returns
-    (factor or None, iterations used). The polynomial constant is
-    stepped on cycle failure so retries stay reproducible.
+    Pollard rho with Brent's cycle (BIT 20, 1980) and deterministic
+    parameters: y starts at 2 and steps y -> y^2 + c mod n. Each cycle
+    saves x = y, then takes r steps with no product, then r steps that
+    multiply x - y into q; r doubles from 1. The skip loses no factor:
+    if x = y mod p at one of the first r steps, the period of the walk
+    mod p is at most r, so p also divides x - y at a multiple of it
+    among the next r steps. Returns (factor or None, steps used), where
+    every step of y counts, with a product or without. The constant c
+    is stepped when a cycle closes on n itself, so retries stay
+    reproducible.
 
-    One gcd is taken per block of _RHO_BLOCK steps, on the product of
-    the differences mod n (Brent's product trick). A block whose gcd is
-    not 1 is replayed from its saved state with a gcd at every step, so
-    the first hit, and with it (factor, used), is the one a gcd at every
-    step would give.
+    One gcd is taken per block of _RHO_BLOCK product steps. A block
+    whose gcd is not 1 is replayed from its saved y with a gcd at every
+    step, so the first hit, and with it (factor, used), is the one a gcd
+    at every product step would give.
     """
     used = 0
     c = 1
     while used < budget:
-        x = y = 2
-        d = 1
-        power = lam = 1
+        y, r, d = 2, 1, 1
         while d == 1 and used < budget:
-            block = min(_RHO_BLOCK, budget - used)
-            start = (x, y, power, lam)
-            q = 1
-            for _ in range(block):
-                if power == lam:
-                    y = x
-                    power *= 2
-                    lam = 0
-                x = (x * x + c) % n
-                lam += 1
-                q = q * (x - y) % n
-            if gcd(q, n) == 1:
+            x = y
+            skip = min(r, budget - used)
+            for _ in range(skip):
+                y = (y * y + c) % n
+            used += skip
+            steps = min(r, budget - used)
+            for k in range(0, steps, _RHO_BLOCK):
+                block = min(_RHO_BLOCK, steps - k)
+                start, q = y, 1
+                for _ in range(block):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                if gcd(q, n) != 1:
+                    # some step of the block shares a factor with n: find the first one
+                    y = start
+                    while d == 1:
+                        y = (y * y + c) % n
+                        used += 1
+                        d = gcd(x - y, n)
+                    break
                 used += block
-                continue
-            # some step of the block shares a factor with n: find the first one
-            x, y, power, lam = start
-            while d == 1:
-                if power == lam:
-                    y = x
-                    power *= 2
-                    lam = 0
-                x = (x * x + c) % n
-                lam += 1
-                used += 1
-                d = gcd(abs(x - y), n)
+            r *= 2
         if 1 < d < n:
             return d, used
         c += 1
@@ -261,10 +264,11 @@ def factorize(n: int, effort_bound: int = DEFAULT_EFFORT) -> Factorization:
     and the stage stops at the first block whose least prime p has
     p*p > n. The table of blocks is sieved once, on the first call.
     Pollard rho then splits the remaining cofactors. effort_bound counts
-    rho iterations only; the Miller-Rabin test that certifies a cofactor
-    prime is not bounded by it. Raises EffortExceeded if a cofactor cannot
-    be split within the budget or certified prime; never returns a
-    pseudo-prime. A non-integer n or effort_bound raises TypeError.
+    rho iterations only, one per step x -> x^2 + c whether or not Brent's
+    cycle takes a product there (see _rho_split); the Miller-Rabin test
+    that certifies a cofactor prime is not bounded by it. Raises
+    EffortExceeded if a cofactor cannot be split within the budget or
+    certified prime; never returns a pseudo-prime. A non-integer n or effort_bound raises TypeError.
     """
     n = index(n)
     effort_bound = index(effort_bound)

@@ -103,7 +103,7 @@ def _binomial(field: CubicField, alpha: CubicElement) -> tuple[int, int, int, in
 def elem_from_point(field: CubicField, b, P: CurvePoint) -> BinomialSquareWitness:
     """The element attached to an affine point of y^2 = x^3 - m*b^3."""
     b = Fraction(b)
-    curve = MordellCurve.twist(field.m, b)  # ValueError for b = 0
+    curve = MordellCurve.twist(field.m, b)  # ZeroElement for b = 0
     if P.is_infinity:
         raise InvalidPoint("the point at infinity maps to the trivial element")
     curve._require(P)  # the one check: P on the curve makes alpha^2 = a - b*w an identity

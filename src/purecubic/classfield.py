@@ -68,7 +68,8 @@ def kappa_element(m: int, b: int, P: CurvePoint) -> KappaReport:
     """Build the report for a point on y^2 = x^3 - m*b^3.
 
     m must be cubefree (ValueError otherwise, after one factorization of
-    m) and b an integer (TypeError, before any factoring or halving).
+    m) and b a nonzero integer (TypeError, before any factoring or
+    halving, for a non-integer; ZeroElement for 0).
     The norm is asserted to be the square of norm_sqrt = |y|*e^3. The
     flags are never enforced; the report arrives with claims_unramified
     already set. already_square comes from an exact halving of P; when
@@ -79,7 +80,7 @@ def kappa_element(m: int, b: int, P: CurvePoint) -> KappaReport:
     b = operator.index(b)
     if not cubefree_and_noncube(m)[0]:  # the mod-9 condition reads m, so it must be cubefree
         raise ValueError(f"m = {m} is not cubefree")
-    curve = MordellCurve.twist(m, b)  # ValueError for b = 0
+    curve = MordellCurve.twist(m, b)  # ZeroElement for b = 0
     if P.is_infinity:
         raise InvalidPoint("need an affine point")
     already_square = bool(curve.halve(P))  # halve checks P on the curve, once

@@ -104,9 +104,6 @@ class CubicElement(Value):
     def components(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.r, self.s, self.t)
 
-    def is_rational(self) -> bool:
-        return not (self.S or self.T)
-
     def is_zero(self) -> bool:
         return not (self.R or self.S or self.T)
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .arith import IntPoly, Value, _set, perfect_cube_root, rational_roots
-from .errors import InvalidPoint
+from .errors import InvalidPoint, ZeroElement
 
 
 # Moduli of the residue sieve in MordellCurve.search, and the squares modulo each.
@@ -155,10 +155,11 @@ class MordellCurve(Value):
 
     @classmethod
     def twist(cls, m: int, b) -> "MordellCurve":
-        """The twist y^2 = x^3 - m*b^3 carrying squares a - b*w; k = -m*bn^3/bd^3 is one Fraction."""
+        """The twist y^2 = x^3 - m*b^3 carrying squares a - b*w; k = -m*bn^3/bd^3 is one Fraction.
+        Raises ZeroElement for b = 0, whose curve y^2 = x^3 is singular."""
         b = b if b.__class__ is Fraction else Fraction(b)
         if b == 0:
-            raise ValueError("twist scale b must be nonzero")
+            raise ZeroElement("twist scale b must be nonzero")
         return cls(Fraction(-m * b.numerator**3, b.denominator**3))
 
     def __str__(self):

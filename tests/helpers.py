@@ -6,6 +6,7 @@ rational root theorem, and so on.
 """
 
 from fractions import Fraction
+from itertools import count
 from math import gcd
 from math import isqrt
 
@@ -133,27 +134,32 @@ def brute_search(k, e_bound: int, a_bound: int) -> list[tuple[Fraction, Fraction
 
 
 def per_step_rho(n: int, budget: int) -> tuple[int | None, int]:
-    """Brent-cycle Pollard rho with a gcd at every step: the reference that
-    the block-gcd arith._rho_split must match, (factor, used) for (factor, used)."""
+    """Pollard rho by Brent's 1980 cycle (R. P. Brent, BIT 20, 176-184),
+    with a gcd at every product step: the reference that the block-gcd
+    arith._rho_split must match, (factor, used) for (factor, used).
+
+    Brent's loop with y_0 = 2 and f(y) = y^2 + c mod n: x := y; r steps
+    of y := f(y); then r steps of y := f(y), each followed here by
+    G := gcd(x - y, n) instead of Brent's product; r := 2r until G > 1.
+    G = n fails, and the next c is tried. Every step of f counts against
+    the budget."""
     used = 0
-    c = 1
-    while used < budget:
-        x = y = 2
-        d = 1
-        power = lam = 1
-        while d == 1 and used < budget:
-            if power == lam:
-                y = x
-                power *= 2
-                lam = 0
-            x = (x * x + c) % n
-            lam += 1
-            used += 1
-            d = gcd(abs(x - y), n)
-        if 1 < d < n:
-            return d, used
-        c += 1
-    return None, used
+    for c in count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for i in range(2 * r):
+                if used == budget:
+                    return None, used
+                y = (y * y + c) % n
+                used += 1
+                if i >= r:
+                    g = gcd(x - y, n)
+                    if g != 1:
+                        break
+            r *= 2
+        if g != n:
+            return g, used
 
 
 def fraction_reconstruct(x, height_bound: int) -> Fraction | None:

@@ -501,13 +501,28 @@ def test_block_rho_matches_per_step_rho_on_semiprimes(p_bits, q_bits, data):
     assert _rho_split(p * q, 500_000) == per_step_rho(p * q, 500_000)
 
 
+# the default budget, or one small enough that some semiprimes exhaust it
+@given(st.integers(20, 30), st.integers(20, 30), st.just(arith.DEFAULT_EFFORT) | st.integers(0, 100_000),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_factorize_splits_semiprimes_or_spends_the_whole_budget(p_bits, q_bits, budget, data):
+    p = sympy.nextprime(data.draw(st.integers(2 ** (p_bits - 1), 2**p_bits)))
+    q = sympy.nextprime(data.draw(st.integers(2 ** (q_bits - 1), 2**q_bits)))
+    try:
+        fac = factorize(p * q, budget)
+    except EffortExceeded as exc:
+        assert str(exc) == f"rho: {budget} of {budget} iterations, cofactor of {len(str(p * q))} digits"
+    else:
+        assert dict(fac.prime_powers) == sympy.factorint(p * q)
+
+
 def test_rung5_constant_coefficient_still_exceeds_the_budget():
     curve = MordellCurve(-2)
     P = affine(3, 5)
     quartic = curve.halving_quartic(curve.double(curve.scalar_mul(5, P)).x)
     with pytest.raises(EffortExceeded, match=r"^rho: 500000 of 500000 iterations, cofactor of 36 digits$"):
         factorize(quartic.coeffs[0])
-    with pytest.raises(EffortExceeded, match=r"^rho: 1000 of 1000 iterations, cofactor of 43 digits$"):
+    with pytest.raises(EffortExceeded, match=r"^rho: 1000 of 1000 iterations, cofactor of 48 digits$"):
         factorize(quartic.coeffs[0], effort_bound=1000)
 
 

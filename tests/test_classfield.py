@@ -11,7 +11,7 @@ from purecubic.classfield import (
     table1_verify,
     unramified_conditions,
 )
-from purecubic.errors import AlphaIsSquare, EffortExceeded, InvalidPoint
+from purecubic.errors import AlphaIsSquare, EffortExceeded, InvalidPoint, ZeroElement
 from purecubic.field import CubicField, binomial_minpoly
 from purecubic.mordell import MordellCurve, affine
 
@@ -48,7 +48,7 @@ class TestKappaElement:
             kappa_element(47, 1, affine(6, 14))
 
     def test_b_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ZeroElement, match="^twist scale b must be nonzero$"):
             kappa_element(47, 0, affine(6, 13))
 
     def test_exceeded_budget_raises(self):

@@ -131,6 +131,15 @@ class TestElementOps:
         code, records, _ = run_json(capsys, "to-point", "2", "5", "0", "0")
         assert records == [{"op": "to-point", "m": "2", "b": "0", "a": "25", "point": "inf"}]
 
+    @pytest.mark.parametrize("argv", [
+        ("from-point", "2", "0", "3", "5"),
+        ("kappa", "113", "0", "97/4", "847/8"),
+        ("ext-poly", "113", "0", "97/4", "847/8"),
+    ], ids=["from-point", "kappa", "ext-poly"])
+    def test_zero_twist_scale_is_domain_error(self, capsys, argv):
+        # b = 0 leaves no twist: a named error like to-point's, not a usage error
+        assert run(capsys, *argv) == (1, "", "ZeroElement: twist scale b must be nonzero\n")
+
     def test_to_point_not_binomial_is_domain_error(self, capsys):
         code, _, err = run(capsys, "to-point", "2", "1", "1", "1")
         assert code == 1
