@@ -28,7 +28,7 @@ _EXPORTS = {
                    "table1_verify", "unramified_conditions"),
     "errors": ("AlphaIsSquare", "DomainError", "EffortExceeded", "FieldMismatch", "InvalidPoint",
                "NotBinomial", "ZeroElement"),
-    "field": ("CubicElement", "CubicField", "binomial_minpoly", "sqrt_in_field"),
+    "field": ("CubicElement", "CubicField", "sqrt_in_field"),
     "mordell": ("INFINITY", "CurvePoint", "MordellCurve", "affine"),
 }
 

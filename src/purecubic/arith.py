@@ -6,10 +6,11 @@ exact factorization with an explicit effort budget (the primes below
 cycle, which multiplies differences only in the second half of each
 cycle and takes one gcd per block of those products; the budget counts
 every step, with a product or without), perfect-square detection for
-rationals, and rational roots of integer polynomials (each numerator
-dividing the constant term is matched to its one possible denominator
-by the polynomial's roots modulo a small prime, lifted by Newton
-steps). Only tests call ``rational_reconstruct``, which finds the one
+rationals, and rational roots of integer polynomials (only the constant
+term is factored: each numerator dividing it is matched to its one
+possible denominator by the polynomial's roots modulo a small prime,
+lifted by Newton steps past the leading coefficient, which is never
+factored). Only tests call ``rational_reconstruct``, which finds the one
 rational of height at most H within 1/(2H^2) of an exact rational, or
 proves there is none: the field's square root rounds to a denominator
 it proves, and walks no continued fraction. Nothing here reads a float.
@@ -432,10 +433,8 @@ def rational_roots(p: IntPoly) -> set[Fraction]:
     """All rational roots of a nonzero integer polynomial f.
 
     Strips powers of x first (recording the root 0), then finds the roots
-    p/q in lowest terms (q > 0), p | c_0 and q | c_d. When c_d has fewer
-    divisors than c_0 the coefficients are reversed and the reciprocals of
-    the roots found are returned, so the numerators run over the shorter
-    divisor list.
+    p/q in lowest terms (q > 0), p | c_0 and q | c_d. Only c_0 is factored,
+    and its divisors are the numerators; c_d is never factored.
 
     Each numerator gets its one possible denominator from a p-adic lift.
     Take the first prime l dividing neither end coefficient at which every
@@ -451,7 +450,7 @@ def rational_roots(p: IntPoly) -> set[Fraction]:
     lost: a root p/q has l dividing neither p nor q, so p/q = z (mod l)
     for a simple root z, and by Hensel's uniqueness Z is the only l-adic
     root above z; so p = q*Z (mod L), and 0 < q <= |c_d| < L fixes q.
-    Raises EffortExceeded when factorize cannot split an end coefficient.
+    Raises EffortExceeded when factorize cannot split the constant term c_0.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every rational as a root")
@@ -462,12 +461,7 @@ def rational_roots(p: IntPoly) -> set[Fraction]:
         cs = cs[1:]
     if len(cs) == 1:
         return roots
-    num_fac = factorize(cs[0])
-    den_fac = factorize(cs[-1])
-    flip = prod(e + 1 for _, e in den_fac) < prod(e + 1 for _, e in num_fac)
-    if flip:  # the roots of x^d * f(1/x) are the reciprocals of f's nonzero roots
-        cs.reverse()
-        num_fac = den_fac
+    numerators = factorize(cs[0]).divisors()
     ell, squarefree = 1, False
     while True:
         ell += 1
@@ -498,7 +492,7 @@ def rational_roots(p: IntPoly) -> set[Fraction]:
     cd, found = cs[-1], set()
 
     def keep(num: int, den: int):
-        """Add num/den (den/num after a flip) to found if it is in lowest terms and a root of cs."""
+        """Add num/den to found if it is in lowest terms and a root of cs."""
         if gcd(num, den) != 1:
             return
         acc, den_pow = cd, 1
@@ -506,9 +500,8 @@ def rational_roots(p: IntPoly) -> set[Fraction]:
             den_pow *= den
             acc = acc * num + c * den_pow
         if acc == 0:
-            found.add(Fraction(den, num) if flip else Fraction(num, den))
+            found.add(Fraction(num, den))
 
-    numerators = num_fac.divisors()
     if squarefree:  # the squarefree part's c_0 divides the old one, maybe strictly
         numerators = [nm for nm in numerators if cs[0] % nm == 0]
     for inverse in inverses:

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from .arith import IntPoly, cubefree_and_noncube, perfect_cube_root, perfect_square_root
 from .errors import AlphaIsSquare, InvalidPoint
-from .field import CubicElement, CubicField, binomial_minpoly
+from .field import CubicElement, CubicField
 from .mordell import CurvePoint, MordellCurve, x_as_a_over_e2
 
 
@@ -89,9 +89,10 @@ def kappa_element(m: int, b: int, P: CurvePoint) -> KappaReport:
     norm = alpha.norm()
     norm_sqrt = abs(P.y) * e**3
     assert norm == norm_sqrt**2, "norm must equal (y*e^3)^2 for on-curve points"
-    # the minimal cubic of alpha, evaluated at x^2
-    cubic = binomial_minpoly(a, b * e * e, field)
-    sextic = IntPoly(c for coeff in cubic.coeffs for c in (coeff, 0))
+    # alpha's minimal cubic t^3 - 3a t^2 + 3a^2 t - N(alpha) at t = x^2; N(alpha) = norm_sqrt^2,
+    # and norm_sqrt = |y|*e^3 is an integer
+    N = norm_sqrt.numerator**2
+    sextic = IntPoly((-N, 0, 3 * a * a, 0, -3 * a, 0, 1))
     return unramified_conditions(KappaReport(
         m=m,
         b=b,

@@ -26,7 +26,7 @@ import operator
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .arith import IntPoly, Value, _set, icbrt, perfect_cube_root
+from .arith import Value, _set, icbrt, perfect_cube_root
 from .errors import FieldMismatch
 
 
@@ -335,11 +335,3 @@ def _sqrt_attempt(beta: CubicElement) -> CubicElement | None:
             return gamma.positive_embedding()
     return None
 
-
-def binomial_minpoly(a, b, field: CubicField) -> IntPoly:
-    """Integer minimal cubic of a - b*w: y^3 - 3a y^2 + 3a^2 y - (a^3 - m b^3)."""
-    a, b = Fraction(a), Fraction(b)
-    if b == 0:
-        raise ValueError("b = 0 gives a rational, not a cubic generator")
-    m = field.m
-    return IntPoly.from_rationals([-(a**3 - m * b**3), 3 * a * a, -3 * a, 1])

@@ -44,12 +44,14 @@ class CurvePoint(Value):
     """A rational point: affine (x, y), or the point at infinity (None, None).
 
     Coordinates are stored as Fractions, so the group law on points built
-    from ints stays exact.
+    from ints stays exact. Exactly one None coordinate raises InvalidPoint.
     """
 
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
+        if (x is None or y is None) and x is not y:
+            raise InvalidPoint(f"a point needs both coordinates or neither, got ({x}, {y})")
         _set(self, "x", x if x.__class__ is Fraction or x is None else Fraction(x))
         _set(self, "y", y if y.__class__ is Fraction or y is None else Fraction(y))
 
@@ -259,7 +261,7 @@ class MordellCurve(Value):
         For the point at infinity this is the rational 2-torsion plus
         infinity itself. Otherwise the preimages are the rational roots of
         halving_quartic(x(P)), so EffortExceeded propagates from factorize
-        when its end coefficients cannot be split. P is checked once. For
+        when its constant coefficient cannot be split. P is checked once. For
         each root x0 = p/q, y0^2 = x0^3 + k = N/(q^3 kd) = N q kd/(q^2 kd)^2,
         with N = p^3 kd + kn q^3 and k = kn/kd, so y0 is rational exactly
         when N q kd is an integer square s^2, and then y0 = s/(q^2 kd),

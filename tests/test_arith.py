@@ -467,17 +467,26 @@ def test_rational_roots_edge_cases(coeffs, roots):
     assert rational_roots(IntPoly(coeffs)) == roots
 
 
-@pytest.mark.parametrize("coeffs, ends", [
-    ((7, 720727, 720720), (7, 720720)),  # c_d has more divisors: the direct path
-    ((1404, -654, -36, 6), (1404, 6)),  # c_d has fewer: the reversed path
-    ((0, 0, 1404, -654, -36, 6), (1404, 6)),  # x^2 is stripped first
+@pytest.mark.parametrize("coeffs, c0", [
+    ((7, 720727, 720720), 7),  # c_d has more divisors than c_0
+    ((1404, -654, -36, 6), 1404),  # c_d has fewer
+    ((0, 0, 1404, -654, -36, 6), 1404),  # x^2 is stripped first
 ])
-def test_rational_roots_factors_c0_then_cd(monkeypatch, coeffs, ends):
+def test_rational_roots_factors_c0_only(monkeypatch, coeffs, c0):
     calls = []
     real = arith.factorize
     monkeypatch.setattr(arith, "factorize", lambda n, *rest: calls.append(n) or real(n, *rest))
     rational_roots(IntPoly(coeffs))
-    assert tuple(calls) == ends
+    assert tuple(calls) == (c0,)
+
+
+def test_rational_roots_never_factors_the_leading_coefficient():
+    # c_d = P1*P2, two primes of 40 and 41 digits, which rho cannot split within its budget
+    p1, p2 = 10**39 + 3, 10**40 + 121
+    assert sympy.isprime(p1) and sympy.isprime(p2)
+    with pytest.raises(EffortExceeded, match="cofactor of 80 digits"):
+        factorize(p1 * p2)
+    assert rational_roots(IntPoly([-7, p1 * p2])) == {Fraction(7, p1 * p2)}
 
 
 def test_factorize_rejects_a_negative_budget():

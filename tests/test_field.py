@@ -14,7 +14,7 @@ from purecubic.arith import icbrt, perfect_square_root
 from purecubic.binsq import elem_from_point, is_square_binomial, point_from_elem, star
 from purecubic.classfield import kappa_element
 from purecubic.errors import FieldMismatch
-from purecubic.field import CubicElement, CubicField, binomial_minpoly, sqrt_in_field
+from purecubic.field import CubicElement, CubicField, sqrt_in_field
 from purecubic.mordell import MordellCurve, affine
 
 from helpers import (naive_elem_mul, naive_elem_square, naive_norm, reference_alpha, reference_point,
@@ -540,34 +540,6 @@ class TestProvedDenominator:
         got = sqrt_in_field(beta)
         assert got in (gamma, -gamma)
         assert got == reference_sqrt_in_field(beta)
-
-
-class TestBinomialMinpoly:
-    def test_129_minus_100w(self):
-        p = binomial_minpoly(129, 100, F2)
-        assert p.coeffs == (-(129**3 - 2 * 100**3), 3 * 129**2, -3 * 129, 1)
-        assert p.coeffs == (-146689, 49923, -387, 1)
-
-    def test_nagell_unit(self):
-        p = binomial_minpoly(-19, -7, CubicField(20))
-        assert p.coeffs == (-1, 1083, 57, 1)
-
-    def test_vanishes_at_element_exactly(self):
-        for (a, b, field) in [(129, 100, F2), (Fraction(129, 100), 1, F2), (-19, -7, CubicField(20))]:
-            p = binomial_minpoly(a, b, field)
-            alpha = field.element(Fraction(a), -Fraction(b), 0)
-            value = p(alpha)
-            assert value == field.element(0)
-
-    def test_b_zero_rejected(self):
-        with pytest.raises(ValueError):
-            binomial_minpoly(5, 0, F2)
-
-    def test_clears_denominators(self):
-        p = binomial_minpoly(Fraction(129, 100), 1, F2)
-        assert all(isinstance(c, int) for c in p.coeffs)
-        alpha = F2.element(Fraction(129, 100), -1, 0)
-        assert p(alpha) == F2.element(0)
 
 
 @pytest.mark.parametrize("m", [16, 54, 10**30 + 57])

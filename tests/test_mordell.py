@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from purecubic import mordell
+from purecubic import arith, mordell
 from purecubic.arith import IntPoly
 from purecubic.errors import InvalidPoint
 from purecubic.mordell import INFINITY, CurvePoint, MordellCurve, affine, x_as_a_over_e2
@@ -34,6 +34,14 @@ class TestMembership:
 
     def test_infinity_always_on(self):
         assert MordellCurve(7).contains(INFINITY)
+
+    def test_one_none_coordinate_rejected(self):
+        # a point is affine or infinity: (3, None) would reach contains half built, and
+        # (None, 5) would say is_infinity yet differ from INFINITY
+        for x, y in ((3, None), (None, 5), (None, 0), (0, None)):
+            with pytest.raises(InvalidPoint):
+                CurvePoint(x, y)
+        assert CurvePoint(None, None) == INFINITY and CurvePoint(3, 5) == affine(3, 5)
 
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
@@ -328,6 +336,17 @@ def test_halve_the_21_digit_rung():
     assert C.halve(C.double(P3)) == {P3}
 
 
+def test_halve_factors_only_the_constant_coefficient(monkeypatch):
+    # x(8P) for P = (4, 5) on y^2 = x^3 - 39: the quartic's 42-digit c_0 is factored, its c_d is not
+    calls = []
+    real = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda n, *rest: calls.append(n) or real(n, *rest))
+    C = MordellCurve(-39)
+    P4, P8 = C.scalar_mul(4, affine(4, 5)), C.scalar_mul(8, affine(4, 5))
+    assert C.halve(P8) == {P4}
+    assert calls == [C.halving_quartic(P8.x).coeffs[0]]
+
+
 def test_halve_the_38_digit_rung():
     # x(8P) has a 38-digit numerator; its only half is 4P
     C = MordellCurve(-2)
@@ -387,7 +406,7 @@ _BIG_RATIONALS = st.one_of(_BIG, st.builds(Fraction, _BIG, st.integers(1, 10**40
 @example(Fraction(3, 8), Fraction(-5, 6))
 @settings(max_examples=300, deadline=None)
 def test_halving_quartic_matches_the_rational_coefficients(k, X):
-    # rungs 5-8 of the halving ladder depend on these exact integers: their end coefficients are factored
+    # rungs 5-8 of the halving ladder depend on these exact integers: their constant coefficients are factored
     k, X = Fraction(k), Fraction(X)
     expected = IntPoly.from_rationals([-4 * k * X, -8 * k, 0, -4 * X, 1])
     assert MordellCurve(k).halving_quartic(X).coeffs == expected.coeffs
