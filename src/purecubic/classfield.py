@@ -67,9 +67,11 @@ class KappaReport(NamedTuple):
 def kappa_element(m: int, b: int, P: CurvePoint) -> KappaReport:
     """Build the report for a point on y^2 = x^3 - m*b^3.
 
-    m must be cubefree (ValueError otherwise, after one factorization of
-    m) and b a nonzero integer (TypeError, before any factoring or
-    halving, for a non-integer; ZeroElement for 0).
+    b must be a nonzero integer (TypeError, before any factoring or
+    halving, for a non-integer; ZeroElement for 0), and P an affine
+    point on the curve (InvalidPoint, before any factoring). m must be
+    cubefree (ValueError otherwise, after the halving of P and one
+    factorization of m).
     The norm is asserted to be the square of norm_sqrt = |y|*e^3. The
     flags are never enforced; the report arrives with claims_unramified
     already set. already_square comes from an exact halving of P; when
@@ -78,12 +80,12 @@ def kappa_element(m: int, b: int, P: CurvePoint) -> KappaReport:
     """
     field = CubicField(m)  # rejects a cube m without factoring it
     b = operator.index(b)
-    if not cubefree_and_noncube(m)[0]:  # the mod-9 condition reads m, so it must be cubefree
-        raise ValueError(f"m = {m} is not cubefree")
     curve = MordellCurve.twist(m, b)  # ZeroElement for b = 0
     if P.is_infinity:
         raise InvalidPoint("need an affine point")
-    already_square = bool(curve.halve(P))  # halve checks P on the curve, once
+    already_square = bool(curve.halve(P))  # halve checks P on the curve, once, before it factors anything
+    if not cubefree_and_noncube(m)[0]:  # the mod-9 condition reads m, so it must be cubefree
+        raise ValueError(f"m = {m} is not cubefree")
     a, e = x_as_a_over_e2(P.x)
     alpha = field.element(a, -b * e * e, 0)
     norm = alpha.norm()

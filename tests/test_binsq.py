@@ -392,18 +392,62 @@ class TestNonsquareCertificate:
         assert root is not None and root * root == F2.element(D.x, -1)
 
 
-def test_each_square_decision_halves_once(monkeypatch):
-    calls = []
-    rational_roots = mordell.rational_roots
+def test_each_square_decision_takes_one_root_attempt(monkeypatch):
+    counts = {"_sqrt_attempt": 0, "halve": 0, "rational_roots": 0}
 
-    def counting(p):
-        calls.append(p)
-        return rational_roots(p)
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(mordell, "rational_roots", counting)
+    monkeypatch.setattr(binsq, "_sqrt_attempt", counting("_sqrt_attempt", binsq._sqrt_attempt))
+    monkeypatch.setattr(MordellCurve, "halve", counting("halve", MordellCurve.halve))
+    monkeypatch.setattr(mordell, "rational_roots", counting("rational_roots", mordell.rational_roots))
     # the norm 3^3 - 2 = 25 is a square, yet 3 - w is not: (3, +-5) is not divisible by 2
     assert is_square_binomial(F2, 3, 1) is None
-    assert len(calls) == 1
+    assert counts == {"_sqrt_attempt": 1, "halve": 0, "rational_roots": 0}
+
+
+class TestOneRootAttempt:
+    """Below sqrt_in_field's cut a square decision is one root attempt, whose None is a proof."""
+
+    # m0 in {2, 26}, c^3*m0 for c in {2, 3, 5} and two more fields; coordinates p/q with |p| <= 1000 and
+    # q <= 100, a range where halving (x, y) raises EffortExceeded for about a quarter of these squares
+    fields = st.sampled_from([2, 26, -7, 113, 16, 54, 250, 208, 702, 3250])
+    coords = st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 100))
+
+    def test_planted_root_in_q_cbrt_250(self):
+        # the halving quartic of this decision has a constant coefficient rho cannot split
+        K = CubicField(250)
+        root = is_square_binomial(K, Fraction(359462014691, 364953600), Fraction(-3453075793, 4181760))
+        assert root == K.element(Fraction(-1859, 5760), Fraction(13, 12), Fraction(20, 11))
+
+    @pytest.mark.parametrize("n, square", [(9, False), (10, True), (21, False)])
+    def test_multiples_of_the_bachet_point(self, n, square):
+        # x(nP) - w for P = (3, 5) on y^2 = x^3 - 2 is a square exactly when n is even
+        C = MordellCurve(-2)
+        P = C.point(3, 5)
+        root = is_square_binomial(F2, C.scalar_mul(n, P).x, 1)
+        want = elem_from_point(F2, 1, C.scalar_mul(n // 2, P)).alpha.positive_embedding() if square else None
+        assert root == want
+
+    @given(fields, coords, coords.filter(bool))
+    @settings(max_examples=150, deadline=None)
+    def test_planted_binomial_squares(self, m, s, t):
+        # gamma = (-s^2/(2t), s, t) squares to a binomial a - b*w
+        K = CubicField(m)
+        gamma = K.element(-s * s / (2 * t), s, t)
+        square = gamma * gamma
+        assert square.t == 0
+        assert is_square_binomial(K, square.r, -square.s) == gamma.positive_embedding()
+
+    def test_a_root_above_the_cut_is_still_decided(self):
+        # w = (w^2/p)^2 in Q(cbrt(p^2)): sqrt_in_field's cut answers None, the halving route the root
+        p = 33554467
+        K = CubicField(p * p)
+        assert sqrt_in_field(K.omega) is None
+        assert is_square_binomial(K, 0, -1) == K.element(0, 0, Fraction(1, p))
 
 
 class TestWeilMapProperty:
@@ -660,8 +704,7 @@ def test_star_and_square_decision_check_once(monkeypatch):
     assert counts["witness"] == counts["contains"] == 0
 
     assert is_square_binomial(F4, 5, 1) == root
-    assert counts["witness"] == counts["norm"] == 0
-    assert counts["contains"] > 0  # halve still validates the point it halves
+    assert counts["witness"] == counts["norm"] == counts["contains"] == 0  # one root attempt, no halving
 
 
 def test_star_builds_no_curve_objects(monkeypatch):

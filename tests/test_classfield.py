@@ -47,6 +47,14 @@ class TestKappaElement:
         with pytest.raises(InvalidPoint):
             kappa_element(47, 1, affine(6, 14))
 
+    def test_off_curve_rejected_before_m_is_factored(self, monkeypatch):
+        # m = 100000000000000000000000000000000000000109 * 3000000000000000000000000000000000000000197
+        # (84 digits), which rho cannot split within its budget
+        m = (10**41 + 109) * (3 * 10**42 + 197)
+        monkeypatch.setattr(classfield, "cubefree_and_noncube", lambda m: pytest.fail("m was factored"))
+        with pytest.raises(InvalidPoint, match="is not on"):
+            kappa_element(m, 1, affine(1, 1))
+
     def test_b_zero_rejected(self):
         with pytest.raises(ZeroElement, match="^twist scale b must be nonzero$"):
             kappa_element(47, 0, affine(6, 13))
