@@ -93,7 +93,7 @@ def _binomial(field: CubicField, alpha: CubicElement) -> tuple[int, int, int, in
     That check alone puts (x, y) = _point(b, alpha) on y^2 = x^3 - m*b^3:
     y^2 - x^3 + m*b^3 = -(b/t)^3 * s*(2rt + s^2). B = 0 exactly when alpha is rational.
     """
-    if alpha.field != field:
+    if alpha.field is not field and alpha.field != field:
         raise FieldMismatch(f"{alpha.field} != {field}")
     r, s, t, d = alpha.R, alpha.S, alpha.T, alpha.D  # on the common denominator d
     if not (r or s or t):
@@ -229,12 +229,14 @@ def is_square_binomial(field: CubicField, a, b) -> CubicElement | None:
         raise ZeroElement("0 has no useful square root here")
     e = a.denominator * b.denominator
     # the norm a^3 - m*b^3 is n/e^3, the square of a rational exactly when n*e is an integer square
-    ne = ((a.numerator * b.denominator) ** 3 - field.m * (b.numerator * a.denominator) ** 3) * e
+    n = (a.numerator * b.denominator) ** 3 - field.m * (b.numerator * a.denominator) ** 3
+    ne = n * e
     y = isqrt(ne) if ne > 0 else -1
     if y * y != ne:
         return None
     beta = CubicElement._of(field, a.numerator * b.denominator, -b.numerator * a.denominator, 0, e)
-    gamma = _sqrt_attempt(beta)
+    # beta is stored over D = e/g, g the common factor _of removed, and its norm numerator is n/g^3
+    gamma = _sqrt_attempt(beta, n // (e // beta.D) ** 3)
     if gamma is None or not _above_cut(beta, gamma):
         return gamma
     # a root above sqrt_in_field's cut is left to the halving route, which is slower and can raise

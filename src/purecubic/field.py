@@ -13,8 +13,14 @@ of a root is an integer over E = 3|m| times the input's denominator
 attempt, in binary fixed point on Python integers at a precision in
 bits worked out from E and from the smallest embedding the norm allows,
 takes the roots of the three embeddings of the field and rounds E times
-each coordinate to an integer (the proof is in sqrt_in_field). Every
-candidate is confirmed by exact squaring before it is returned. One cut
+each coordinate to an integer (the proof is in sqrt_in_field). Its
+fixed-point constants, the real cube root of m and sqrt(3), come from a
+small cache per |m| and power-of-two precision, shifted down to the
+precision at hand, which gives the same integers as computing them
+afresh. The norm the caller's test already took is passed in, and the
+root's sign is the one its construction gives, so no second norm is
+taken. Every candidate is confirmed by exact squaring before it is
+returned. One cut
 remains: a root above a height bound, the limit of the reconstruction
 that the rounding replaced, is answered None. No floating point and no
 third-party package is used.
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from .arith import Value, _set, icbrt, perfect_cube_root
@@ -109,7 +116,7 @@ class CubicElement(Value):
 
     def _coerce(self, other) -> "CubicElement":
         if isinstance(other, CubicElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch(f"{other.field} != {self.field}")
             return other
         if isinstance(other, (int, Fraction)):
@@ -233,9 +240,22 @@ def sqrt_in_field(beta: CubicElement, digits: int = 256) -> CubicElement | None:
     |N|/B^2. Each coordinate is so within 8*B^2/sqrt(|N|) * 2^-P of its
     value. The guard, the bit length of ceil(8*B^4/|N|) =
     ceil(8*b^4/(D*|n|)) with b = D*B, an integer quotient, brings that to
-    at most 2^-prec < 1/(4E) (and keeps each embedding's error below half
-    its size), so E times a coordinate is within 1/4 of its integer and
-    rounds to it. The attempt therefore finds every root.
+    at most sqrt(|N|)/B^2 * 2^-prec. That is at most 2^-prec < 1/(4E), as
+    |N| <= B^3, and at most g * 2^-prec < g/(4E), as the root's real
+    embedding g is at least sqrt(|N|)/B (and it keeps each embedding's
+    error below half its size). So E times a coordinate is within 1/4 of
+    its integer and rounds to it. The attempt therefore finds every root.
+    The norm numerator n of the test is passed on to the attempt, which
+    takes no norm of its own.
+
+    The fixed-point constants are exact and shared. W = floor(cbrt(|m|) *
+    2^P) and floor(sqrt(3) * 2^P) are read from a cache of 64 entries,
+    keyed on |m| and the precision class Pc = max(64, P rounded up to a
+    power of two), and shifted right by Pc - P: for x > 0,
+    floor(floor(x * 2^Pc) / 2^(Pc - P)) = floor(x * 2^P), so they are the
+    integers a fresh cube root and square root at 2^-P would give, and the
+    bound above holds as it stands. The sign of m is applied after the
+    lookup, so m and -m share an entry.
 
     One cut keeps this from being a proof: a root with a coordinate of
     height above H = h^2 * 2^24 (h the height of beta) is answered None.
@@ -247,19 +267,30 @@ def sqrt_in_field(beta: CubicElement, digits: int = 256) -> CubicElement | None:
 
     Of the two signs of the complex root, the attempt rounds first the one
     that puts E*r nearer to an integer, r the first coordinate it gives. A
-    tie keeps the order (+, -). The order cannot change an answer: beta
-    has only the roots +-gamma, either sign that squares back returns the
-    one with positive real embedding, and None needs both signs to fail.
-    It saves the wrong sign's exact check. A sign that puts E*r farther
-    than 1/4 from an integer is not tried at all, since the bound above
-    puts a root's E*r within 1/4 of its integer.
+    tie keeps the order (+, -). It saves the wrong sign's exact check. A
+    sign that puts E*r farther than 1/4 from an integer is not tried at
+    all, since the bound above puts a root's E*r within 1/4 of its integer.
+
+    The sign of the result is read from its construction, with no second
+    norm. beta has only the roots +-gamma, gamma the one with positive
+    real embedding g; G, the positive root at the real embedding, is D*g
+    within half its size. The sign that matches gamma's complex embedding
+    rounds to gamma itself. The other one approximates, within g/(4E) a
+    coordinate, the element with embeddings g and minus gamma's complex
+    one, which differs from -gamma by the element with embeddings
+    (2g, 0, 0), of first coordinate 2g/3. So it can round to -gamma only
+    when 2Eg/3 - g/4 <= 1/2, and then its E*r lies at least
+    2Eg/3 - g/4 >= 7g/4 from an integer, as E >= 3, while the matching
+    sign's lies within g/4: the matching sign is tried first and confirms. The root returned
+    is therefore gamma, and None still needs both signs to fail.
     """
     if beta.is_zero():
         return beta
-    nD = _norm_numerator(beta.field.m, beta.R, beta.S, beta.T) * beta.D
+    n = _norm_numerator(beta.field.m, beta.R, beta.S, beta.T)
+    nD = n * beta.D
     if nD <= 0 or isqrt(nD) ** 2 != nD:
         return None
-    gamma = _sqrt_attempt(beta)
+    gamma = _sqrt_attempt(beta, n)
     if gamma is None or _above_cut(beta, gamma):
         return None
     return gamma
@@ -284,21 +315,37 @@ def _height(e: CubicElement) -> int:
     return max(max(abs(X), D) // gcd(X, D) for X in (e.R, e.S, e.T))
 
 
-def _sqrt_attempt(beta: CubicElement) -> CubicElement | None:
+@lru_cache(maxsize=64)
+def _class_constants(am: int, Pc: int) -> tuple[int, int]:
+    """floor(cbrt(am) * 2^Pc) and floor(sqrt(3) * 2^Pc), for one |m| and one precision class Pc."""
+    return icbrt(am << 3 * Pc), isqrt(3 << 2 * Pc)
+
+
+def _constants(m: int, P: int) -> tuple[int, int]:
+    """W = sign(m) * floor(cbrt(|m|) * 2^P) and Q3 = floor(sqrt(3) * 2^P), the real embedding of w and
+    sqrt(3) at 2^-P, shifted down exactly from the cached values of P's class (see sqrt_in_field)."""
+    Pc = max(64, 1 << (P - 1).bit_length())
+    W, Q3 = _class_constants(abs(m), Pc)
+    shift = Pc - P
+    return (W >> shift if m > 0 else -(W >> shift)), Q3 >> shift
+
+
+def _sqrt_attempt(beta: CubicElement, n: int | None = None) -> CubicElement | None:
     """The root of beta with positive real embedding, or None if beta is not a square;
-    beta has a square norm, and the error bound is in sqrt_in_field."""
+    beta has a square norm, n is the numerator of N(beta) = n/D^3 when the caller has it, and the
+    error bound is in sqrt_in_field."""
     m = beta.field.m
     am = abs(m)
     R, S, T, D = beta.R, beta.S, beta.T, beta.D
     v = 1 << -(-am.bit_length() // 3)  # > |w|, as |m| < 2^bits(|m|)
     b = max(abs(R) + abs(S) * v + abs(T) * v * v, D)  # D * B
-    n = _norm_numerator(m, R, S, T)  # nonzero: N(beta) = n/D^3
+    if n is None:
+        n = _norm_numerator(m, R, S, T)  # nonzero: N(beta) = n/D^3
     E = 3 * am * D
     P = E.bit_length() + 2 + (-(-8 * b**4 // (D * abs(n)))).bit_length()
     # fixed point at 2^-P: each name below is its value times 2^P
-    W = icbrt(am << 3 * P) * (1 if m > 0 else -1)  # the real embedding of w
+    W, Q3 = _constants(m, P)  # the real embedding of w, and sqrt(3)
     W2 = W * W >> P
-    Q3 = isqrt(3 << 2 * P)  # sqrt(3)
     A1 = S * W + T * W2
     A2 = S * W - T * W2
     # the root of D^2 * beta at the real embedding, which is positive: it has the sign
@@ -339,6 +386,6 @@ def _sqrt_attempt(beta: CubicElement) -> CubicElement | None:
             E,
         )
         if gamma * gamma == beta:  # on integers, in lowest terms on both sides
-            return gamma.positive_embedding()
+            return gamma  # its real embedding is G's, as sqrt_in_field proves
     return None
 

@@ -2,7 +2,7 @@ import copy
 import itertools
 import pickle
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 import sympy
@@ -225,8 +225,8 @@ class TestIntegerStorage:
         (2, (1, -1, -1)), (-26, (Fraction(-1, 2), 3, Fraction(7, 5))), (250, (3, Fraction(-1, 5), 2)),
         (26, (0, 1, 0)), (-7, (Fraction(1, 3), 5, Fraction(-2, 7)))])
     def test_a_square_root_builds_one_fraction(self, m, comps):
-        # the candidate, its exact square, the cut and positive_embedding's sign, read from the
-        # integer norm, run on integers: no Fraction is built
+        # the candidate, its exact square and the cut run on integers, and the sign comes from the
+        # construction: no Fraction is built
         beta = CubicField(m).element(*comps) ** 2
         built, new = [], Fraction.__dict__["__new__"]
 
@@ -403,6 +403,62 @@ class TestFixedPointEdges:
         assert sqrt_in_field(gamma * gamma) in (gamma, -gamma)
 
 
+class TestRootSign:
+    """A root is returned with positive real embedding, read from its construction, not from a norm."""
+
+    @given(TestOneAttempt.fields, TestOneAttempt.coords, TestOneAttempt.coords, TestOneAttempt.coords)
+    @settings(max_examples=100, deadline=None)
+    def test_sqrt_in_field(self, F, r, s, t):
+        gamma = F.element(r, s, t)
+        assume(not gamma.is_zero())
+        root = sqrt_in_field(gamma * gamma)
+        assert root is None or root.sign_of_embedding() == 1
+
+    @given(TestOneAttempt.fields, TestOneAttempt.coords, TestOneAttempt.coords.filter(bool), rats)
+    @settings(max_examples=100, deadline=None)
+    def test_is_square_binomial(self, F, s, t, a):
+        # gamma = -s^2/(2t) + s*w + t*w^2 squares to a binomial; a - w is mostly not a square
+        beta = F.element(-s * s / (2 * t), s, t) ** 2
+        for x, b in ((beta.r, -beta.s), (a, 1)):
+            root = is_square_binomial(F, x, b)
+            assert root is None or root.sign_of_embedding() == 1
+
+    @pytest.mark.parametrize("m, unit", [(2, -1), (-2, 1)])
+    @pytest.mark.parametrize("n", [5, 50, 150, 400])
+    @pytest.mark.parametrize("scale", [1, -1, Fraction(1, 3**40), Fraction(-1, 3**40)])
+    def test_a_tiny_real_embedding(self, m, unit, n, scale):
+        # w + unit has a real embedding of size about 0.26, so both signs can round to a root, and
+        # only the order of the signs makes it the one with positive real embedding
+        K = CubicField(m)
+        beta = ((K.omega + unit) ** n * scale) ** 2
+        for root in (sqrt_in_field(beta), field._sqrt_attempt(beta)):
+            assert root * root == beta and root.sign_of_embedding() == 1
+
+
+class TestCachedConstants:
+    """The fixed-point constants are a bounded cache's, shifted down to P exactly."""
+
+    calls = st.lists(st.integers(1, 10**40), min_size=1, max_size=3).flatmap(
+        lambda ams: st.lists(st.tuples(st.sampled_from(ams), st.integers(1, 4096)), min_size=1, max_size=12))
+
+    @given(calls)
+    @settings(max_examples=100, deadline=None)
+    def test_shifted_constants_are_exact(self, calls):
+        # in the drawn order, so a larger precision class of the same |m| may be cached first
+        field._class_constants.cache_clear()
+        for am, P in calls:
+            W, Q3 = field._constants(am, P)
+            assert (W, Q3) == (icbrt(am << 3 * P), isqrt(3 << 2 * P))
+            assert field._constants(-am, P) == (-W, Q3)
+            assert field._class_constants.cache_info().currsize <= 64
+
+    def test_the_cache_is_bounded(self):
+        field._class_constants.cache_clear()
+        for am in range(1, 101):
+            field._constants(am, 100)
+        assert field._class_constants.cache_info().currsize == field._class_constants.cache_info().maxsize == 64
+
+
 class TestNormTest:
     """A non-square norm is a proof: N(d*gamma^2) = d^3 N(gamma)^2."""
 
@@ -478,7 +534,8 @@ class TestIntegerNormAndSignOrder:
         monkeypatch.setattr(field, "_sqrt_attempt", recorded_attempt)
         for beta, found, at_attempt in cases:
             counts.update(norm=0, at_attempt=None)
-            # positive_embedding reads the sign from the integer norm, so no norm is taken at all
+            # the attempt takes the test's norm numerator and reads the sign from its construction,
+            # so no norm is taken at all
             assert (sqrt_in_field(beta) is not None) == found
             assert counts == {"norm": 0, "at_attempt": at_attempt}
 
