@@ -14,23 +14,21 @@ attempt, in binary fixed point on Python integers at a precision in
 bits worked out from E and from the smallest embedding the norm allows,
 takes the roots of the three embeddings of the field and rounds E times
 each coordinate to an integer (the proof is in sqrt_in_field). Its
-fixed-point constants, the real cube root of m and sqrt(3), come from a
-small cache per |m| and power-of-two precision, shifted down to the
-precision at hand, which gives the same integers as computing them
-afresh. The norm the caller's test already took is passed in, and the
-root's sign is the one its construction gives, so no second norm is
-taken. Every candidate is confirmed by exact squaring before it is
-returned. One cut
-remains: a root above a height bound, the limit of the reconstruction
-that the rounding replaced, is answered None. No floating point and no
-third-party package is used.
+fixed-point constants, the real cube root of m and sqrt(3), are kept
+for up to 64 values of |m| at the largest precision asked for, and
+shifted down to the precision at hand, which gives the same integers as
+computing them afresh. The norm the caller's test already took is
+passed in, and the root's sign is the one its construction gives, so no
+second norm is taken. Every candidate is confirmed by exact squaring
+before it is returned. One cut remains: a root above a height bound,
+the limit of the reconstruction that the rounding replaced, is answered
+None. No floating point and no third-party package is used.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from .arith import Value, _set, icbrt, perfect_cube_root
@@ -249,13 +247,15 @@ def sqrt_in_field(beta: CubicElement, digits: int = 256) -> CubicElement | None:
     takes no norm of its own.
 
     The fixed-point constants are exact and shared. W = floor(cbrt(|m|) *
-    2^P) and floor(sqrt(3) * 2^P) are read from a cache of 64 entries,
-    keyed on |m| and the precision class Pc = max(64, P rounded up to a
-    power of two), and shifted right by Pc - P: for x > 0,
-    floor(floor(x * 2^Pc) / 2^(Pc - P)) = floor(x * 2^P), so they are the
+    2^P) and floor(sqrt(3) * 2^P) are kept for up to 64 values of |m|
+    (all are dropped when a 65th comes), at the largest P asked for so
+    far, Pk, and shifted right by Pk - P: for x > 0,
+    floor(floor(x * 2^Pk) / 2^(Pk - P)) = floor(x * 2^P), so they are the
     integers a fresh cube root and square root at 2^-P would give, and the
-    bound above holds as it stands. The sign of m is applied after the
-    lookup, so m and -m share an entry.
+    bound above holds as it stands. A larger P computes them afresh at P
+    and replaces the kept values, so a miss computes no more than the
+    fresh roots would. The sign of m is applied after the lookup, so m and
+    -m share an entry.
 
     One cut keeps this from being a proof: a root with a coordinate of
     height above H = h^2 * 2^24 (h the height of beta) is answered None.
@@ -315,32 +315,31 @@ def _height(e: CubicElement) -> int:
     return max(max(abs(X), D) // gcd(X, D) for X in (e.R, e.S, e.T))
 
 
-@lru_cache(maxsize=64)
-def _class_constants(am: int, Pc: int) -> tuple[int, int]:
-    """floor(cbrt(am) * 2^Pc) and floor(sqrt(3) * 2^Pc), for one |m| and one precision class Pc."""
-    return icbrt(am << 3 * Pc), isqrt(3 << 2 * Pc)
+_CONSTANTS: dict[int, tuple[int, int, int]] = {}  # |m| -> (P, W, Q3) at the largest P asked for
+_CONSTANTS_MAX = 64
 
 
 def _constants(m: int, P: int) -> tuple[int, int]:
     """W = sign(m) * floor(cbrt(|m|) * 2^P) and Q3 = floor(sqrt(3) * 2^P), the real embedding of w and
-    sqrt(3) at 2^-P, shifted down exactly from the cached values of P's class (see sqrt_in_field)."""
-    Pc = max(64, 1 << (P - 1).bit_length())
-    W, Q3 = _class_constants(abs(m), Pc)
-    shift = Pc - P
-    return (W >> shift if m > 0 else -(W >> shift)), Q3 >> shift
+    sqrt(3) at 2^-P, shifted down exactly from the values kept for |m| (see sqrt_in_field)."""
+    am = abs(m)
+    kept = _CONSTANTS.get(am)
+    if kept is None or kept[0] < P:
+        if kept is None and len(_CONSTANTS) >= _CONSTANTS_MAX:
+            _CONSTANTS.clear()  # one call, so a thread cannot see a half-made eviction
+        kept = _CONSTANTS[am] = (P, icbrt(am << 3 * P), isqrt(3 << 2 * P))
+    Pk, W, Q3 = kept
+    return (W >> Pk - P if m > 0 else -(W >> Pk - P)), Q3 >> Pk - P
 
 
-def _sqrt_attempt(beta: CubicElement, n: int | None = None) -> CubicElement | None:
+def _sqrt_attempt(beta: CubicElement, n: int) -> CubicElement | None:
     """The root of beta with positive real embedding, or None if beta is not a square;
-    beta has a square norm, n is the numerator of N(beta) = n/D^3 when the caller has it, and the
-    error bound is in sqrt_in_field."""
+    beta has a square norm N(beta) = n/D^3, and the error bound is in sqrt_in_field."""
     m = beta.field.m
     am = abs(m)
     R, S, T, D = beta.R, beta.S, beta.T, beta.D
     v = 1 << -(-am.bit_length() // 3)  # > |w|, as |m| < 2^bits(|m|)
     b = max(abs(R) + abs(S) * v + abs(T) * v * v, D)  # D * B
-    if n is None:
-        n = _norm_numerator(m, R, S, T)  # nonzero: N(beta) = n/D^3
     E = 3 * am * D
     P = E.bit_length() + 2 + (-(-8 * b**4 // (D * abs(n)))).bit_length()
     # fixed point at 2^-P: each name below is its value times 2^P

@@ -3,13 +3,17 @@
 tests/data/answers.txt holds one operation a line, tab-separated: the
 operation's kind, the call (is_square_binomial, sqrt_in_field or star),
 m, the call's rational inputs after the field, and the repr of the
-result, or the exception's type and text. The inputs were drawn once
-from perfbench's square-test workload, in the order of one round, both
-pinned failures included, so a change to the benchmark cannot move the
-corpus. test_answers.py replays every line and compares the text.
+result, or the exception's type and text. test_answers.py replays every
+line and compares the text.
+
+The inputs were drawn once, from perfbench/workloads.py's SquareTest at
+seeds 1 and 7: each seed's ops were built against a stand-in package
+whose fields, elements and calls return their own arguments, and one
+round's calls were written down in the round's order, both pinned
+failures included. They are stored, not drawn again, so that a change
+to the benchmark cannot move the corpus.
 
     python tests/answers.py --rewrite   # recompute the answers of the stored inputs
-    python tests/answers.py --draw      # draw the inputs from perfbench again, then answer them
 
 The program is imported from the checkout's src/, next to this tests/ directory.
 """
@@ -20,39 +24,10 @@ import argparse
 import sys
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "tests" / "data" / "answers.txt"
 SEEDS = (1, 7)
-
-
-def draw(seeds=SEEDS) -> list[tuple[str, str, int, tuple[Fraction, ...]]]:
-    """(kind, call, m, inputs) of every square-test operation of one round at each seed, in its order."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import SquareTest
-
-    class Field:
-        def __init__(self, m):
-            self.m = m
-
-        def element(self, *coords):
-            return (self.m, *coords)
-
-        omega = property(lambda self: (self.m, 0, 1, 0))
-
-    # a stand-in for the package: each call returns the call it would make
-    pc = SimpleNamespace(
-        CubicField=Field, MordellCurve=lambda m: None,
-        is_square_binomial=lambda K, a, b: ("is_square_binomial", K.m, a, b),
-        sqrt_in_field=lambda e: ("sqrt_in_field", *e),
-        star=lambda x, y: ("star", x[0], *x[1:], *y[1:]))
-    rows = []
-    for seed in seeds:
-        for op in SquareTest(seed).build(pc):
-            call, m, *inputs = op.call()
-            rows.append((op.kind, call, m, tuple(Fraction(x) for x in inputs)))
-    return rows
 
 
 def answer(call: str, m: int, inputs: tuple[Fraction, ...]) -> str:
@@ -88,12 +63,11 @@ def write(rows, path: Path = CORPUS) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--rewrite", action="store_true", help="recompute the answers of the stored inputs")
-    group.add_argument("--draw", action="store_true", help="draw the inputs from perfbench, then answer them")
-    args = parser.parse_args(argv)
+    parser.add_argument("--rewrite", action="store_true", required=True,
+                        help="recompute the answers of the stored inputs")
+    parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
-    rows = draw() if args.draw else [row[:4] for row in read()]
+    rows = [row[:4] for row in read()]
     write(rows)
     print(f"{len(rows)} answers written to {CORPUS.relative_to(ROOT)}")
     return 0

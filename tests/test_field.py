@@ -23,6 +23,12 @@ from helpers import (naive_elem_mul, naive_elem_square, naive_norm, reference_al
 F2 = CubicField(2)
 F26 = CubicField(26)
 
+
+def one_attempt(beta):
+    """The field's one square-root attempt, given the norm numerator as sqrt_in_field gives it."""
+    return field._sqrt_attempt(beta, field._norm_numerator(beta.field.m, beta.R, beta.S, beta.T))
+
+
 rats = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
 elems2 = st.tuples(rats, rats, rats).map(lambda c: F2.element(*c))
 
@@ -339,7 +345,7 @@ class TestOneAttempt:
     def test_the_cut_is_the_only_gap(self):
         # the attempt finds the root w^2/33554467 of w, and sqrt_in_field cuts it at its height
         K = CubicField(33554467**2)
-        root = field._sqrt_attempt(K.omega)
+        root = one_attempt(K.omega)
         assert root == K.element(0, 0, Fraction(1, 33554467)) and root * root == K.omega
         assert sqrt_in_field(K.omega) is None
 
@@ -379,7 +385,7 @@ class TestFixedPointEdges:
         # the attempt runs at the least precision, prec = bits(E) + 2, so nothing but the guard
         # pays for the tiny real embedding; without it the root is missed from n = 50 on
         gamma = (F2.omega - 1) ** n * Fraction(1, 3**40)
-        assert field._sqrt_attempt(gamma * gamma) in (gamma, -gamma)
+        assert one_attempt(gamma * gamma) in (gamma, -gamma)
 
     @pytest.mark.parametrize("m, comps", [
         (2, (1, 3, 0)), (2, (1, 0, 2)), (26, (0, 1, 0)), (-2, (1, 1, 1)),
@@ -431,12 +437,12 @@ class TestRootSign:
         # only the order of the signs makes it the one with positive real embedding
         K = CubicField(m)
         beta = ((K.omega + unit) ** n * scale) ** 2
-        for root in (sqrt_in_field(beta), field._sqrt_attempt(beta)):
+        for root in (sqrt_in_field(beta), one_attempt(beta)):
             assert root * root == beta and root.sign_of_embedding() == 1
 
 
 class TestCachedConstants:
-    """The fixed-point constants are a bounded cache's, shifted down to P exactly."""
+    """The fixed-point constants are kept per |m| at the largest P asked for, and shifted down to P exactly."""
 
     calls = st.lists(st.integers(1, 10**40), min_size=1, max_size=3).flatmap(
         lambda ams: st.lists(st.tuples(st.sampled_from(ams), st.integers(1, 4096)), min_size=1, max_size=12))
@@ -444,19 +450,20 @@ class TestCachedConstants:
     @given(calls)
     @settings(max_examples=100, deadline=None)
     def test_shifted_constants_are_exact(self, calls):
-        # in the drawn order, so a larger precision class of the same |m| may be cached first
-        field._class_constants.cache_clear()
+        # in the drawn order, so a larger P of the same |m| may be kept first
+        field._CONSTANTS.clear()
         for am, P in calls:
             W, Q3 = field._constants(am, P)
             assert (W, Q3) == (icbrt(am << 3 * P), isqrt(3 << 2 * P))
             assert field._constants(-am, P) == (-W, Q3)
-            assert field._class_constants.cache_info().currsize <= 64
+            assert field._CONSTANTS[am][0] >= P and len(field._CONSTANTS) <= field._CONSTANTS_MAX
 
-    def test_the_cache_is_bounded(self):
-        field._class_constants.cache_clear()
+    def test_the_store_is_bounded(self):
+        field._CONSTANTS.clear()
         for am in range(1, 101):
             field._constants(am, 100)
-        assert field._class_constants.cache_info().currsize == field._class_constants.cache_info().maxsize == 64
+        # the 65th |m| drops the 64 kept before it
+        assert list(field._CONSTANTS) == list(range(65, 101)) and field._CONSTANTS_MAX == 64
 
 
 class TestNormTest:
